@@ -6,10 +6,13 @@ list (Hermitian diagonal terms included, hence doubled). That is the only
 reading consistent with trace one and with the t = 0 atomic marginal, and
 it is cross-checked against the numeric evolution oracle in the tests.
 
-All public time arguments are the dimensionless scaled time gt; conversion
-to physical time happens exactly once at each function boundary.
+All public time arguments are the dimensionless scaled time gt, finite and
+nonnegative; conversion to physical time happens exactly once at each
+function boundary.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .model import (
     IDX_GG,
     SystemParams,
     TwoQubitState,
-    initial_state,
+    check_times,
 )
 
 _GG = np.zeros(4, dtype=complex)
@@ -31,17 +34,30 @@ _P_GG = np.outer(_GG, _GG.conj())
 _BP_BM = np.outer(BELL_PLUS, BELL_MINUS.conj())
 
 
+def _damping(p: SystemParams, t, gamma: float):
+    """Dephasing factors of the three H-eigenbasis frequencies in the
+    reduced state: Omega (every cos Omega t term) and (Omega +- Delta)/2
+    (the two B+/B- coherence exponentials). A coherence at frequency w
+    decays as exp(-gamma w^2 t / 2); all three are exactly 1 at gamma = 0.
+    """
+    damp_cos = np.exp(-gamma * t / 2.0 * p.omega**2)
+    damp_p = np.exp(-gamma * t / 8.0 * (p.omega + p.delta) ** 2)
+    damp_m = np.exp(-gamma * t / 8.0 * (p.omega - p.delta) ** 2)
+    return damp_cos, damp_p, damp_m
+
+
 def _reduced_coeffs(p: SystemParams, gt):
-    """Coefficients of the reduced-state term list (before Hermitian closure).
+    """Coefficients of the reduced-state term list (before Hermitian closure),
+    dephased at rate p.gamma.
 
     Returns (c_plus, c_minus, c_gg, c_cross) broadcast over gt.
     """
-    gt = np.asarray(gt, dtype=float)
     t = gt / p.g
     omega = p.omega
     r = p.delta / omega
     lam = p.lambda_
-    cos_ot = np.cos(omega * t)
+    damp_cos, damp_p, damp_m = _damping(p, t, p.gamma)
+    cos_ot = np.cos(omega * t) * damp_cos
     c_plus = lam / 8.0 * (1.0 + r * r + (1.0 - r * r) * cos_ot)
     c_minus = np.full_like(gt, lam / 4.0)
     c_gg = p.g**2 * lam / omega**2 * (1.0 - cos_ot) + (1.0 - lam) / 2.0
@@ -49,8 +65,8 @@ def _reduced_coeffs(p: SystemParams, gt):
         lam
         / 4.0
         * (
-            (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0)
-            + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0)
+            (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0) * damp_p
+            + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0) * damp_m
         )
     )
     return c_plus, c_minus, c_gg, c_cross
@@ -59,9 +75,10 @@ def _reduced_coeffs(p: SystemParams, gt):
 def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
     """Reduced two-atom density matrices on a grid of scaled times.
 
+    Exact for every lambda_ and for pure phase decoherence at rate gamma.
     Returns an array of shape gt.shape + (4, 4).
     """
-    c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, gt)
+    c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, check_times(gt))
     x = (
         c_plus[..., None, None] * _P_BP
         + c_minus[..., None, None] * _P_BM
@@ -73,15 +90,13 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
 
 def rho_s_analytic(p: SystemParams, gt: float) -> TwoQubitState:
     """Reduced two-atom state at scaled time gt, validated."""
-    if gt < 0:
-        raise ValueError("gt must be nonnegative")
     return TwoQubitState(rho_s_matrices(p, float(gt)))
 
 
 def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
-    """Full atom-cavity density matrix at scaled time gt."""
-    if gt < 0:
-        raise ValueError("gt must be nonnegative")
+    """Full atom-cavity density matrix at scaled time gt (unitary: gamma is
+    ignored)."""
+    gt = check_times(gt)
     t = gt / p.g
     omega = p.omega
     r = p.delta / omega
@@ -97,7 +112,7 @@ def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
     p11 = np.outer(ket1, ket1.conj())
     p01 = np.outer(ket0, ket1.conj())
 
-    c_plus, _, _, c_cross = _reduced_coeffs(p, gt)
+    c_plus, _, _, c_cross = _reduced_coeffs(replace(p, gamma=0.0), gt)
     x = complex(c_plus) * np.kron(p00, _P_BP)
     x += p.g**2 * lam / omega**2 * (1.0 - cos_ot) * np.kron(p11, _P_GG)
     x += lam / 4.0 * np.kron(p00, _P_BM)
@@ -125,23 +140,19 @@ def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
 
 
 def concurrence_closed(p: SystemParams, gt):
-    """Closed-form concurrence lambda*sqrt(A^2 + B^2) of the reduced state."""
-    gt = np.asarray(gt, dtype=float)
-    if np.any(gt < 0):
-        raise ValueError("gt must be nonnegative")
-    a, b = _ab_terms(p, gt, gamma=0.0)
+    """Closed-form concurrence lambda*sqrt(A^2 + B^2) of the reduced state
+    (unitary: gamma is ignored)."""
+    a, b = _ab_terms(p, check_times(gt), gamma=0.0)
     out = p.lambda_ * np.hypot(a, b)
     return out if out.ndim else float(out)
 
 
 def _ab_terms(p: SystemParams, gt, gamma: float):
-    """A and B of the concurrence closed form, with optional dephasing damping."""
-    t = np.asarray(gt, dtype=float) / p.g
+    """A and B of the concurrence closed form, dephased at rate gamma."""
+    t = gt / p.g
     omega = p.omega
     r = p.delta / omega
-    damp_cos = np.exp(-gamma * t / 2.0 * omega**2) if gamma else 1.0
-    damp_p = np.exp(-gamma * t / 8.0 * (omega + p.delta) ** 2) if gamma else 1.0
-    damp_m = np.exp(-gamma * t / 8.0 * (omega - p.delta) ** 2) if gamma else 1.0
+    damp_cos, damp_p, damp_m = _damping(p, t, gamma)
     a = (
         p.delta**2 / (4.0 * omega**2)
         - 0.25
@@ -155,47 +166,32 @@ def _ab_terms(p: SystemParams, gt, gamma: float):
 
 def concurrence_dephased(p: SystemParams, gt):
     """Closed-form concurrence under pure phase decoherence at rate gamma."""
-    gt = np.asarray(gt, dtype=float)
-    if np.any(gt < 0):
-        raise ValueError("gt must be nonnegative")
-    a, b = _ab_terms(p, gt, gamma=p.gamma)
+    a, b = _ab_terms(p, check_times(gt), gamma=p.gamma)
     out = p.lambda_ * np.hypot(a, b)
     return out if out.ndim else float(out)
-
-
-def _require_pure_initial(p: SystemParams):
-    if p.lambda_ != 1.0:
-        raise ValueError(
-            "closed-form CHSH terms are only available for lambda_ == 1"
-        )
 
 
 def sigma_zeta(p: SystemParams, gt):
     """Closed-form (sigma, zeta) entering the maximal CHSH violation.
 
-    Only valid for lambda_ == 1; other initial mixtures must use the
-    general correlation-matrix route in the metrics module.
+    The reduced state is an X-state with an empty |ee> level, so its
+    correlation matrix has the singular values 2|rho_eg,ge| (twice) and
+    |2 rho_gg - 1|: sigma = C^2 and zeta = (2 rho_gg - 1)^2, for every
+    lambda_ and gamma.
     """
-    _require_pure_initial(p)
-    t = np.asarray(gt, dtype=float) / p.g
-    omega = p.omega
-    r = p.delta / omega
-    cos_ot = np.cos(omega * t)
-    sig = 4.0 * p.g**4 / omega**4 * (1.0 - cos_ot) ** 2 + 0.25 * (
-        (1.0 - r) * np.sin((omega + p.delta) * t / 2.0)
-        - (1.0 + r) * np.sin((omega - p.delta) * t / 2.0)
-    ) ** 2
-    zeta = (
-        (p.delta**2 + 4.0 * p.g**2) / omega**2
-        + 4.0 * p.g**2 / omega**2 * cos_ot
-    ) ** 2
+    gt = check_times(gt)
+    a, b = _ab_terms(p, gt, gamma=p.gamma)
+    sig = p.lambda_**2 * (a * a + b * b)
+    _, _, c_gg, _ = _reduced_coeffs(p, gt)
+    zeta = (4.0 * c_gg - 1.0) ** 2
     if sig.ndim:
         return sig, zeta
     return float(sig), float(zeta)
 
 
 def bell_max_closed(p: SystemParams, gt):
-    """Closed-form maximal CHSH value 2*sqrt(sigma + max(sigma, zeta))."""
+    """Closed-form maximal CHSH value 2*sqrt(sigma + max(sigma, zeta)),
+    by the Horodecki criterion."""
     sig, zeta = sigma_zeta(p, gt)
     out = 2.0 * np.sqrt(sig + np.maximum(sig, zeta))
     return out if np.ndim(out) else float(out)
@@ -221,7 +217,3 @@ def stationary_concurrence(p: SystemParams) -> float:
         raise ValueError("stationary state requires gamma > 0")
     return 2.0 * p.lambda_ * p.g**2 / p.omega**2
 
-
-def initial_state_check(p: SystemParams) -> float:
-    """Max entry deviation between rho_full_analytic at t=0 and rho(0)."""
-    return float(np.abs(rho_full_analytic(p, 0.0) - initial_state(p)).max())

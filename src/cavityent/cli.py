@@ -49,7 +49,6 @@ class RunConfig:
     n_steps: int | None = None
     n_max: int = 1
     source: str = trajectory.ANALYTIC
-    seed: int = 0
     output: str = "-"
     timestamp: bool = True
 
@@ -68,10 +67,6 @@ class RunConfig:
         if self.n_steps is not None:
             return self.n_steps
         return 5001 if self.gt_max <= 50.0 else 50001
-
-
-def default_steps(gt_max: float) -> int:
-    return 5001 if gt_max <= 50.0 else 50001
 
 
 def _fmt(x) -> str:
@@ -94,7 +89,21 @@ def _write_csv(path: str, meta: dict, header: str, rows, timestamp: bool):
         Path(path).write_text(text)
 
 
+# config-file key -> (RunConfig field, type); the evolve flags store into
+# the same fields
+_CONFIG_KEYS = {
+    "delta": ("delta_over_g", float),
+    "lambda": ("lambda_", float),
+    "gamma": ("gamma_times_g", float),
+    "gt_max": ("gt_max", float),
+    "n_steps": ("n_steps", int),
+    "n_max": ("n_max", int),
+    "source": ("source", str),
+}
+
+
 def _load_config_file(path: str) -> dict:
+    """RunConfig fields from a key=value config file."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -103,35 +112,12 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-_CONFIG_KEYS = {
-    "delta": ("delta", float),
-    "lambda": ("lambda_", float),
-    "gamma": ("gamma", float),
-    "gt_max": ("gt_max", float),
-    "n_steps": ("n_steps", int),
-    "n_max": ("n_max", int),
-    "source": ("source", str),
-    "seed": ("seed", int),
-}
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill argparse defaults from a key=value config file; flags win."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config_file(args.config)
-    for key, value in file_values.items():
+        key = key.strip()
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        dest, cast = _CONFIG_KEYS[key]
-        if not hasattr(args, dest):
-            continue
-        # a flag given on the command line overrides the file
-        if getattr(args, dest) == parser.get_default(dest):
-            setattr(args, dest, cast(value))
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        field, cast = _CONFIG_KEYS[key]
+        values[field] = cast(value.strip())
+    return values
 
 
 def _trajectory_rows(traj: trajectory.Trajectory):
@@ -157,28 +143,26 @@ def _run_sweep_to_csv(cfg: RunConfig, command: str):
 
 
 def cmd_evolve(args) -> int:
-    cfg = RunConfig(
-        delta_over_g=args.delta,
-        lambda_=args.lambda_,
-        gamma_times_g=args.gamma,
-        gt_max=args.gt_max,
-        n_steps=args.n_steps,
-        n_max=args.n_max,
-        source=args.source,
-        output=args.output,
-        timestamp=not args.no_timestamp,
+    fields = _load_config_file(args.config) if args.config else {}
+    # the evolve flags default to SUPPRESS, so only flags actually given are
+    # in args, and they override the file; RunConfig supplies the rest
+    fields.update(
+        (field, getattr(args, field))
+        for field, _ in _CONFIG_KEYS.values()
+        if hasattr(args, field)
     )
+    cfg = RunConfig(**fields, output=args.output, timestamp=not args.no_timestamp)
     _run_sweep_to_csv(cfg, "evolve")
     return 0
 
 
-def _curve_for(kind: str, n_points: int, samples: int, seed: int) -> frontier.FrontierCurve:
+def _curve_for(kind: str, n_points: int) -> frontier.FrontierCurve:
     if kind == frontier.WERNER:
         return frontier.werner_curve(n_points)
     if kind == frontier.MEMS_CM:
         return frontier.mems_curve(n_points)
     if kind == frontier.BELL_FRONTIER:
-        return frontier.bell_frontier(n_points=n_points, samples=samples, seed=seed)
+        return frontier.bell_frontier(n_points=n_points)
     raise ValueError(f"unknown frontier kind {kind!r}")
 
 
@@ -200,15 +184,12 @@ def cmd_figure(args) -> int:
     )
     _run_sweep_to_csv(cfg, f"figure {args.tag}")
     for kind in preset["curves"]:
-        curve = _curve_for(kind, args.n_points, args.samples, args.seed)
+        curve = _curve_for(kind, args.n_points)
         meta = {
             "command": f"figure {args.tag}",
             "kind": kind,
             "n_points": args.n_points,
         }
-        if kind == frontier.BELL_FRONTIER:
-            meta["samples"] = args.samples
-            meta["seed"] = args.seed
         _write_csv(
             str(outdir / f"figure{args.tag}_{kind}.csv"),
             meta,
@@ -220,11 +201,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    curve = _curve_for(args.kind, args.n_points, args.samples, args.seed)
+    curve = _curve_for(args.kind, args.n_points)
     meta = {"command": "frontier", "kind": args.kind, "n_points": args.n_points}
-    if args.kind == frontier.BELL_FRONTIER:
-        meta["samples"] = args.samples
-        meta["seed"] = args.seed
     _write_csv(args.output, meta, FRONTIER_HEADER, curve.points, not args.no_timestamp)
     return 0
 
@@ -250,6 +228,9 @@ def cmd_recurrences(args) -> int:
     return 0
 
 
+_SEED_HELP = "accepted for compatibility; no output depends on it"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityent",
@@ -263,29 +244,35 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--no-timestamp",
             action="store_true",
+            default=False,
             help="omit the generated-at metadata line (reproducible output)",
         )
 
-    ev = sub.add_parser("evolve", help="sweep trajectory metrics over time")
-    ev.add_argument("--delta", type=float, default=0.0, help="detuning Delta/g")
-    ev.add_argument("--lambda", dest="lambda_", type=float, default=1.0,
+    ev = sub.add_parser(
+        "evolve",
+        help="sweep trajectory metrics over time",
+        argument_default=argparse.SUPPRESS,
+    )
+    ev.add_argument("--delta", dest="delta_over_g", type=float, metavar="DELTA",
+                    help="detuning Delta/g")
+    ev.add_argument("--lambda", dest="lambda_", type=float, metavar="LAMBDA",
                     help="initial excited population of atom 1")
-    ev.add_argument("--gamma", type=float, default=0.0, help="dephasing rate gamma*g")
-    ev.add_argument("--gt-max", dest="gt_max", type=float, default=50.0)
-    ev.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    ev.add_argument("--n-max", dest="n_max", type=int, default=1, help="cavity Fock cutoff")
-    ev.add_argument("--source", choices=trajectory.SOURCES, default=trajectory.ANALYTIC)
-    ev.add_argument("--config", default=None, help="key=value config file")
+    ev.add_argument("--gamma", dest="gamma_times_g", type=float, metavar="GAMMA",
+                    help="dephasing rate gamma*g")
+    ev.add_argument("--gt-max", dest="gt_max", type=float)
+    ev.add_argument("--n-steps", dest="n_steps", type=int)
+    ev.add_argument("--n-max", dest="n_max", type=int, help="cavity Fock cutoff")
+    ev.add_argument("--source", choices=trajectory.SOURCES)
+    ev.add_argument("--config", default=None,
+                    help="key=value config file; flags given on the command line win")
     add_common(ev)
-    ev.set_defaults(func=cmd_evolve, subparser=ev)
+    ev.set_defaults(func=cmd_evolve)
 
     fig = sub.add_parser("figure", help="emit the CSV bundle for a paper figure")
     fig.add_argument("tag", help="figure tag, e.g. 1a, 2c, 3b, 4a")
     fig.add_argument("--output-dir", default=".", help="directory for the CSV bundle")
     fig.add_argument("--n-points", type=int, default=257, help="curve sample count")
-    fig.add_argument("--samples", type=int, default=100_000,
-                     help="random samples for the Bell frontier")
-    fig.add_argument("--seed", type=int, default=0)
+    fig.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     fig.add_argument("--no-timestamp", action="store_true")
     fig.set_defaults(func=cmd_figure)
 
@@ -293,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--kind", choices=(frontier.WERNER, frontier.MEMS_CM, frontier.BELL_FRONTIER),
                     required=True)
     fr.add_argument("--n-points", type=int, default=257)
-    fr.add_argument("--samples", type=int, default=100_000)
-    fr.add_argument("--seed", type=int, default=0)
+    fr.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     add_common(fr)
     fr.set_defaults(func=cmd_frontier)
 
@@ -315,8 +301,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            _apply_config(args, args.subparser)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

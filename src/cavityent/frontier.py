@@ -4,8 +4,8 @@ Curves:
   * Werner: p |B+><B+| + (1-p) I/4, p in [1/3, 1].
   * MEMS:   the standard concurrence-vs-linear-entropy frontier family,
     validated in-repo by an optimization/sampling oracle rather than trusted.
-  * Bell frontier: numerically estimated upper envelope of the maximal CHSH
-    value vs linear entropy.
+  * Bell frontier: closed-form upper envelope of the maximal CHSH value vs
+    linear entropy, audited in the tests by sampling and local search.
 
 Also: epsilon-coverage of a frontier by a trajectory, and continued-fraction
 classification of Delta/Omega (floating-point ratios are always rational;
@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import cKDTree
 
-from .metrics import bell_max_many, linear_entropy_many, wootters_concurrence_many
+from .metrics import linear_entropy_many, wootters_concurrence_many
 from .model import BELL_PLUS, IDX_EE, IDX_EG, IDX_GG, SystemParams
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -207,50 +206,15 @@ def mems_oracle_excess(
     return worst
 
 
-def _bell_diagonal(probs: np.ndarray) -> np.ndarray:
-    """Bell-diagonal state from 4 nonnegative weights (normalized here)."""
-    e = np.eye(2)
-    phi_p = (np.kron(e[0], e[0]) + np.kron(e[1], e[1])) / np.sqrt(2)
-    phi_m = (np.kron(e[0], e[0]) - np.kron(e[1], e[1])) / np.sqrt(2)
-    psi_p = (np.kron(e[0], e[1]) + np.kron(e[1], e[0])) / np.sqrt(2)
-    psi_m = (np.kron(e[0], e[1]) - np.kron(e[1], e[0])) / np.sqrt(2)
-    kets = np.stack([phi_p, phi_m, psi_p, psi_m]).astype(complex)
-    p = np.abs(probs)
-    p = p / p.sum()
-    return np.einsum("k,ka,kb->ab", p, kets, kets.conj())
-
-
-def _bell_opt_at(m_target: float, rng: np.random.Generator) -> float:
-    """Max CHSH value over Bell-diagonal states at fixed linear entropy."""
-
-    def objective(x):
-        rho = _bell_diagonal(x)
-        m = linear_entropy_many(rho[None])[0]
-        b = bell_max_many(rho[None])[0]
-        return -(b - 200.0 * (m - m_target) ** 2 * 8.0)
-
-    best = 0.0
-    starts = [np.array([0.5, 0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])]
-    starts += [rng.dirichlet(np.ones(4)) for _ in range(2)]
-    for x0 in starts:
-        res = optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxfev": 400, "xatol": 1e-9, "fatol": 1e-12},
-        )
-        rho = _bell_diagonal(res.x)
-        m = float(linear_entropy_many(rho[None])[0])
-        if abs(m - m_target) < 5e-4:
-            best = max(best, float(bell_max_many(rho[None])[0]))
-    return best
-
-
 def bell_envelope_candidate(m) -> np.ndarray:
-    """Best Bell-diagonal CHSH value at linear entropy m.
+    """Maximal CHSH value over all two-qubit states at linear entropy m.
 
-    Maximizing the two largest squared singular values of T over the
-    Bell-diagonal tetrahedron at fixed purity gives |B|^2 = 4(2 - 3M/2)
+    By the Horodecki criterion |B|^2 is 4 times the sum of the two largest
+    squared singular values of the correlation matrix T. Maximizing it over
+    the Bell-diagonal tetrahedron at fixed purity gives |B|^2 = 4(2 - 3M/2)
     for M <= 2/3 (two-Bell-state mixtures) and |B|^2 = 12(1 - M) above
-    (rank-deficient correlation tensors, t3 = 0).
+    (rank-deficient T, t3 = 0); cf. Munro, Nemoto & White, J. Mod. Opt. 48,
+    1239 (2001). That no other state lies above it is audited in the tests.
     """
     m = np.asarray(m, dtype=float)
     return np.where(
@@ -260,43 +224,21 @@ def bell_envelope_candidate(m) -> np.ndarray:
     )
 
 
-def bell_frontier(
-    n_points: int = 129, samples: int = 100_000, seed: int = 0
-) -> FrontierCurve:
+def bell_frontier(n_points: int = 129) -> FrontierCurve:
     """Upper envelope of the maximal CHSH value vs linear entropy.
 
-    The Bell-diagonal candidate curve is combined with per-bin maxima of
-    seeded random states and refined by local optimization at anchor
-    mixedness values, then forced monotone non-increasing away from the
-    exact (M=0, 2*sqrt(2)) endpoint.
+    The closed-form envelope (bell_envelope_candidate) on a uniform M grid
+    over [0, 1].
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    if samples < 100_000:
-        raise ValueError("need at least 1e5 samples for the envelope")
-    rng = np.random.default_rng(seed)
-    states = random_two_qubit_states(samples, rng)
-    m = linear_entropy_many(states)
-    b = bell_max_many(states)
-
     grid = np.linspace(0.0, 1.0, n_points)
     # keep the branch point an exact knot so squared-value interpolation
     # is exact on both branches
     grid[np.argmin(np.abs(grid - 2.0 / 3.0))] = 2.0 / 3.0
-    env = bell_envelope_candidate(grid)
-    # sampled maxima, assigned to the nearest bin at or below their M
-    bins = np.clip(np.searchsorted(grid, m) - 1, 0, n_points - 1)
-    np.maximum.at(env, bins, b)
-    # local optimization on a coarser set of anchors
-    for i in range(0, n_points, max(1, n_points // 16)):
-        if grid[i] > 0.95:
-            continue
-        env[i] = max(env[i], _bell_opt_at(grid[i], rng))
-    env[0] = TSIRELSON
-    # envelope must not increase with mixedness
-    for i in range(n_points - 2, -1, -1):
-        env[i] = max(env[i], env[i + 1])
-    return FrontierCurve(BELL_FRONTIER, np.column_stack([grid, env]))
+    return FrontierCurve(
+        BELL_FRONTIER, np.column_stack([grid, bell_envelope_candidate(grid)])
+    )
 
 
 def _polyline_resample(points: np.ndarray, n: int = 4096) -> np.ndarray:

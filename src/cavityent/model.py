@@ -97,6 +97,14 @@ class TwoQubitState:
         object.__setattr__(self, "matrix", m)
 
 
+def check_times(gt) -> np.ndarray:
+    """Scaled times gt as a float array; ValueError unless all finite and >= 0."""
+    gt = np.asarray(gt, dtype=float)
+    if not np.all(np.isfinite(gt) & (gt >= 0)):
+        raise ValueError("times gt must be finite and nonnegative")
+    return gt
+
+
 def as_state_matrix(state) -> np.ndarray:
     """Accept a TwoQubitState or a raw 4x4 array; return the array."""
     if isinstance(state, TwoQubitState):
@@ -160,6 +168,7 @@ __all__ = [
     "SystemParams",
     "TwoQubitState",
     "as_state_matrix",
+    "check_times",
     "hamiltonian",
     "initial_state",
     "excitation_number",

@@ -3,17 +3,16 @@
 A sweep evaluates (concurrence, linear entropy, maximal CHSH value, purity)
 on a uniform grid of scaled times from one of three sources:
 
-  analytic  closed-form reduced states and closed-form concurrence
+  analytic  closed-form reduced states, concurrence and CHSH maximum
   spectral  exact spectral solution of the master equation, cavity-traced
   rk4       fixed-step RK4 integration (slow; cross-check only)
 
-With gamma > 0 only the concurrence has a closed form, so the analytic
-source takes the remaining metrics from the spectral states.
+The raw metrics must lie in their physical ranges within 1e-9; they are
+then clipped into them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,24 +22,14 @@ from .frontier import (
     BELL_FRONTIER,
     TSIRELSON,
     FrontierCurve,
-    mems_concurrence_at,
     mems_linear_entropy,
 )
-from .model import SystemParams
+from .model import SystemParams, check_times
 
 ANALYTIC = "analytic"
 SPECTRAL = "spectral"
 RK4 = "rk4"
 SOURCES = (ANALYTIC, SPECTRAL, RK4)
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    gt: float
-    concurrence: float
-    linear_entropy: float
-    bell_max: float
-    purity: float
 
 
 @dataclass(frozen=True)
@@ -56,42 +45,40 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.gt)
 
-    def points(self) -> Iterator[TrajectoryPoint]:
-        for i in range(len(self.gt)):
-            yield TrajectoryPoint(
-                gt=float(self.gt[i]),
-                concurrence=float(self.concurrence[i]),
-                linear_entropy=float(self.linear_entropy[i]),
-                bell_max=float(self.bell_max[i]),
-                purity=float(self.purity[i]),
-            )
-
     def plane_points(self, kind: str = "mems") -> np.ndarray:
         """(M, C) points, or (M, |B|max) for the Bell frontier kind."""
         value = self.bell_max if kind == BELL_FRONTIER else self.concurrence
         return np.column_stack([self.linear_entropy, value])
 
 
-def _validate_ranges(traj: Trajectory):
-    eps = 1e-9
-    checks = [
-        (traj.concurrence, 0.0 - eps, 1.0 + eps, "concurrence"),
-        (traj.linear_entropy, 0.0 - eps, 1.0 + eps, "linear entropy"),
-        (traj.bell_max, 0.0 - eps, TSIRELSON + eps, "bell_max"),
-        (traj.purity, 0.25 - eps, 1.0 + eps, "purity"),
-    ]
-    for values, lo, hi, name in checks:
-        if values.min() < lo or values.max() > hi:
+_RANGE_SLACK = 1e-9
+_RANGES = {
+    "concurrence": (0.0, 1.0),
+    "linear_entropy": (0.0, 1.0),
+    "bell_max": (0.0, TSIRELSON),
+    "purity": (0.25, 1.0),
+}
+
+
+def _clip_to_ranges(raw: dict) -> dict:
+    """Each raw metric clipped into its range; ValueError if it strays
+    outside by more than _RANGE_SLACK."""
+    out = {}
+    for name, values in raw.items():
+        lo, hi = _RANGES[name]
+        if values.min() < lo - _RANGE_SLACK or values.max() > hi + _RANGE_SLACK:
             raise ValueError(
                 f"{name} out of range [{values.min()}, {values.max()}]"
             )
+        out[name] = np.clip(values, lo, hi)
+    return out
 
 
 def sweep(
     p: SystemParams, gt_max: float, n_steps: int, source: str = ANALYTIC
 ) -> Trajectory:
     """Uniform time-grid sweep of all trajectory metrics."""
-    if gt_max <= 0:
+    if check_times(gt_max) == 0:
         raise ValueError("gt_max must be positive")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
@@ -100,48 +87,26 @@ def sweep(
     gts = np.linspace(0.0, gt_max, n_steps)
 
     if source == ANALYTIC:
-        if p.gamma == 0.0:
-            states = analytic.rho_s_matrices(p, gts)
-        else:
-            states = evolution.reduce_to_atoms(
-                evolution.evolve_spectral_grid(p, gts), p.n_max
-            )
-        conc = np.asarray(
-            analytic.concurrence_dephased(p, gts)
-            if p.gamma > 0.0
-            else analytic.concurrence_closed(p, gts)
-        )
-        if p.lambda_ == 1.0 and p.gamma == 0.0:
-            bell = np.asarray(analytic.bell_max_closed(p, gts))
-        else:
-            bell = metrics.bell_max_many(states)
+        states = analytic.rho_s_matrices(p, gts)
+        conc = analytic.concurrence_dephased(p, gts)
+        bell = analytic.bell_max_closed(p, gts)
     else:
-        if source == SPECTRAL:
-            full = evolution.evolve_spectral_grid(p, gts)
-        else:
-            dt = 0.005 / p.omega
-            full = np.stack(
-                [
-                    evolution.evolve_rk4(p, gt, dt=dt, check_step=False)
-                    for gt in gts
-                ]
-            )
-        states = evolution.reduce_to_atoms(full, p.n_max)
+        evolve = (
+            evolution.evolve_spectral_grid
+            if source == SPECTRAL
+            else evolution.evolve_rk4_grid
+        )
+        states = evolution.reduce_to_atoms(evolve(p, gts), p.n_max)
         conc = metrics.wootters_concurrence_many(states)
         bell = metrics.bell_max_many(states)
 
-    pur = metrics.purity_many(states)
-    traj = Trajectory(
-        params=p,
-        source=source,
-        gt=gts,
-        concurrence=np.clip(conc, 0.0, 1.0),
-        linear_entropy=np.clip(metrics.linear_entropy_many(states), 0.0, 1.0),
-        bell_max=np.clip(bell, 0.0, TSIRELSON),
-        purity=np.clip(pur, 0.25, 1.0),
-    )
-    _validate_ranges(traj)
-    return traj
+    raw = {
+        "concurrence": conc,
+        "linear_entropy": metrics.linear_entropy_many(states),
+        "bell_max": bell,
+        "purity": metrics.purity_many(states),
+    }
+    return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
@@ -186,10 +151,8 @@ __all__ = [
     "RK4",
     "SOURCES",
     "Trajectory",
-    "TrajectoryPoint",
     "sweep",
     "mirror_symmetry_check",
     "initial_linear_entropy",
     "min_mems_distance",
-    "mems_concurrence_at",
 ]

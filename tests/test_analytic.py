@@ -51,7 +51,6 @@ class TestFullState:
     def test_t0_equals_initial(self):
         for lam in [0.3, 1.0]:
             p = params(delta=0.5, lambda_=lam)
-            assert analytic.initial_state_check(p) < 1e-14
             assert np.abs(
                 analytic.rho_full_analytic(p, 0.0) - initial_state(p)
             ).max() < 1e-14
@@ -144,9 +143,6 @@ class TestSigmaZeta:
             sig, zeta = analytic.sigma_zeta(p, gts)
             assert (2.0 * np.sqrt(sig + np.maximum(sig, zeta))).max() <= 2 * np.sqrt(2) + 1e-9
 
-    def test_rejects_mixed_initial(self):
-        with pytest.raises(ValueError):
-            analytic.sigma_zeta(params(lambda_=0.9), 1.0)
 
 
 class TestBellMaxClosed:

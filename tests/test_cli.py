@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cavityent.cli import FIGURE_PRESETS, main
+from cavityent.frontier import bell_envelope_candidate
 
 
 def read_csv(path):
@@ -63,6 +67,7 @@ class TestEvolve:
         assert main(["evolve", "--lambda", "1.5"]) == 2
         assert main(["evolve", "--gt-max", "-3"]) == 2
         assert main(["evolve", "--gamma", "-0.1"]) == 2
+        assert main(["evolve", "--gt-max", "nan"]) == 2
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -90,6 +95,23 @@ class TestEvolve:
         cfg.write_text("banana = 3\n")
         assert main(["evolve", "--config", str(cfg)]) == 2
 
+    def test_flag_at_default_value_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 2\ngt_max = 10\nn_steps = 11\n")
+        out = tmp_path / "c.csv"
+        code = main([
+            "evolve", "--config", str(cfg), "--delta", "0", "-o", str(out)
+        ])
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert meta["delta_over_g"] == "0"
+        assert meta["gt_max"] == "10"
+
+    def test_seed_config_key_exit_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+
 
 class TestFrontierCommand:
     def test_werner(self, tmp_path):
@@ -101,6 +123,14 @@ class TestFrontierCommand:
         assert header == ["linear_entropy", "value"]
         assert rows.shape == (33, 2)
         assert rows[0, 1] == pytest.approx(1.0)
+
+    def test_bell_is_closed_form_envelope(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["frontier", "--kind", "bell", "--n-points", "65",
+                     "--seed", "3", "-o", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        assert "seed" not in meta and "samples" not in meta
+        assert np.abs(rows[:, 1] - bell_envelope_candidate(rows[:, 0])).max() < 1e-9
 
     def test_mems(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -154,6 +184,14 @@ class TestFigure:
 
     def test_unknown_tag_exit_2(self, tmp_path):
         assert main(["figure", "9z", "--output-dir", str(tmp_path)]) == 2
+
+
+def test_import_leaves_out_scipy_optimize():
+    code = "import sys, cavityent.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_version(capsys):

@@ -97,6 +97,19 @@ class TestRK4:
         e2 = np.abs(evolution.evolve_rk4(p, 3.0, dt=dt / 2, check_step=False) - ref).max()
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
 
+    def test_grid_matches_restarts_from_zero(self):
+        # carrying the state along the grid agrees with integrating from
+        # t = 0 to every grid point separately
+        p = params(delta=0.5, lambda_=0.7, gamma=0.01)
+        gts = np.linspace(0.0, 4.0, 9)
+        grid = evolution.evolve_rk4_grid(p, gts)
+        restarts = np.stack(
+            [evolution.evolve_rk4(p, gt, check_step=False) for gt in gts]
+        )
+        assert np.abs(grid - restarts).max() < 1e-10
+        with pytest.raises(ValueError):
+            evolution.evolve_rk4_grid(p, [1.0, 0.5])
+
     def test_step_too_large_raises(self):
         p = params(delta=0.5)
         with pytest.raises(evolution.StepSizeError):

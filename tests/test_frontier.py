@@ -2,9 +2,53 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from cavityent import frontier, metrics
 from cavityent.model import SystemParams
+
+_BELL_KETS = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+) / np.sqrt(2)
+_BELL_PROJECTORS = np.einsum("ka,kb->kab", _BELL_KETS, _BELL_KETS.conj())
+
+
+def bell_diagonal(x):
+    """Bell-diagonal state with weights |x| (normalized here)."""
+    w = np.abs(x)
+    return np.tensordot(w / w.sum(), _BELL_PROJECTORS, 1)
+
+
+def general_state(x):
+    """Full-rank state A A^dagger / Tr from 32 real parameters."""
+    a = (x[:16] + 1j * x[16:]).reshape(4, 4)
+    rho = a @ a.conj().T
+    return rho / rho.trace().real
+
+
+def envelope_excess_search(build, starts, m_target, maxfev):
+    """Nelder-Mead search for a large CHSH value near linear entropy m_target.
+
+    Returns the largest excess over the Bell envelope among the results,
+    each measured at its own linear entropy.
+    """
+
+    def objective(x):
+        rho = build(x)[None]
+        m = metrics.linear_entropy_many(rho)[0]
+        return -(metrics.bell_max_many(rho)[0] - 1600.0 * (m - m_target) ** 2)
+
+    worst = -np.inf
+    for x0 in starts:
+        res = optimize.minimize(
+            objective, x0, method="Nelder-Mead",
+            options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-13},
+        )
+        rho = build(res.x)[None]
+        m = metrics.linear_entropy_many(rho)[0]
+        excess = metrics.bell_max_many(rho)[0] - frontier.bell_envelope_candidate(m)
+        worst = max(worst, float(excess))
+    return worst
 
 
 class TestFrontierCurve:
@@ -100,7 +144,7 @@ class TestBellFrontier:
         assert abs(float(lo) - float(hi)) < 1e-8
 
     def test_envelope_dominates_fresh_samples(self):
-        curve = frontier.bell_frontier(n_points=129, samples=100_000, seed=0)
+        curve = frontier.bell_frontier(n_points=129)
         rng = np.random.default_rng(99)
         states = frontier.random_two_qubit_states(50_000, rng)
         m = metrics.linear_entropy_many(states)
@@ -109,15 +153,39 @@ class TestBellFrontier:
         assert excess.max() <= 1e-6
 
     def test_envelope_monotone_and_bounded(self):
-        curve = frontier.bell_frontier(n_points=129, samples=100_000, seed=1)
+        curve = frontier.bell_frontier(n_points=129)
         vals = curve.points[:, 1]
         assert vals[0] == pytest.approx(frontier.TSIRELSON)
         assert np.all(np.diff(vals) <= 1e-12)
         assert vals.max() <= frontier.TSIRELSON + 1e-12
 
-    def test_rejects_low_sample_count(self):
-        with pytest.raises(ValueError):
-            frontier.bell_frontier(samples=1000)
+    def test_curve_is_envelope_with_exact_branch_knot(self):
+        curve = frontier.bell_frontier(n_points=257)
+        m, b = curve.points.T
+        assert m[0] == 0.0 and m[-1] == 1.0
+        assert 2.0 / 3.0 in m
+        assert np.array_equal(b, frontier.bell_envelope_candidate(m))
+
+    def test_bell_diagonal_search_stays_below_envelope(self):
+        rng = np.random.default_rng(5)
+        worst = -np.inf
+        for m_target in np.linspace(0.0, 0.95, 17):
+            starts = [np.array([0.5, 0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])]
+            starts += [rng.dirichlet(np.ones(4)) for _ in range(2)]
+            worst = max(
+                worst, envelope_excess_search(bell_diagonal, starts, m_target, 400)
+            )
+        assert worst <= 1e-9
+
+    def test_general_state_search_stays_below_envelope(self):
+        rng = np.random.default_rng(6)
+        worst = -np.inf
+        for m_target in np.linspace(0.05, 0.95, 7):
+            starts = [rng.standard_normal(32) for _ in range(2)]
+            worst = max(
+                worst, envelope_excess_search(general_state, starts, m_target, 3000)
+            )
+        assert worst <= 1e-9
 
 
 class TestCoverage:

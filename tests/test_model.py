@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from cavityent import analytic, evolution
 from cavityent.model import (
     IDX_EG,
     IDX_GG,
     SystemParams,
     TwoQubitState,
+    check_times,
     excitation_number,
     hamiltonian,
     initial_state,
@@ -110,3 +112,35 @@ def test_single_excitation_indices():
     assert single_excitation_indices(1) == [1, 2, 3, 7]
     with pytest.raises(ValueError):
         single_excitation_indices(0)
+
+
+TIME_ENTRY_POINTS = [
+    analytic.rho_s_matrices,
+    analytic.rho_s_analytic,
+    analytic.rho_full_analytic,
+    analytic.concurrence_closed,
+    analytic.concurrence_dephased,
+    analytic.sigma_zeta,
+    analytic.bell_max_closed,
+    evolution.evolve_spectral_grid,
+    evolution.evolve_spectral,
+    evolution.evolve_grid,
+    evolution.evolve_rk4,
+    evolution.evolve_rk4_grid,
+    evolution.dephased_concurrence_oracle,
+]
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_time_entry_points_reject_bad_times(entry, bad):
+    p = SystemParams(g=1.0, delta=0.5, lambda_=0.8, gamma=0.01)
+    with pytest.raises(ValueError):
+        entry(p, bad)
+
+
+def test_check_times():
+    assert np.array_equal(check_times([0.0, 2.5]), [0.0, 2.5])
+    for bad in ([0.0, -1e-300], [np.inf], np.nan):
+        with pytest.raises(ValueError):
+            check_times(bad)

@@ -1,0 +1,54 @@
+"""Property tests of the closed forms over (Delta, lambda, gamma, gt).
+
+Each example compares a closed form with an independent route: the
+cavity-traced spectral solution of the master equation, the Wootters
+concurrence and the correlation-matrix CHSH maximum of the closed-form
+state. The runs are derandomized, so every run checks the same examples.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavityent import analytic, evolution, metrics
+from cavityent.model import SystemParams
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+params = st.builds(
+    SystemParams,
+    g=st.just(1.0),
+    delta=st.floats(-5.0, 5.0),
+    lambda_=st.floats(0.0, 1.0),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+)
+times = st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8).map(np.array)
+
+
+@SETTINGS
+@given(p=params, gts=times)
+def test_closed_form_state_matches_spectral(p, gts):
+    spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts), p.n_max)
+    assert np.abs(analytic.rho_s_matrices(p, gts) - spectral).max() < 1e-8
+
+
+@SETTINGS
+@given(p=params, gts=times)
+def test_closed_form_state_is_a_density_matrix(p, gts):
+    rho = analytic.rho_s_matrices(p, gts)
+    assert np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max() < 1e-14
+    assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+@SETTINGS
+@given(p=params, gts=times)
+def test_closed_form_concurrence_matches_wootters(p, gts):
+    wootters = metrics.wootters_concurrence_many(analytic.rho_s_matrices(p, gts))
+    assert np.abs(analytic.concurrence_dephased(p, gts) - wootters).max() < 1e-9
+
+
+@SETTINGS
+@given(p=params, gts=times)
+def test_closed_form_chsh_matches_correlation_matrix(p, gts):
+    general = metrics.bell_max_many(analytic.rho_s_matrices(p, gts))
+    assert np.abs(analytic.bell_max_closed(p, gts) - general).max() < 1e-10

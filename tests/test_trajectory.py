@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cavityent import analytic, trajectory
-from cavityent.frontier import coverage, mems_curve, werner_curve
+from cavityent.frontier import TSIRELSON, coverage, mems_curve, werner_curve
 from cavityent.model import SystemParams
 
 
@@ -17,10 +17,9 @@ class TestSweep:
         assert len(traj) == 501
         assert traj.gt[0] == 0.0
         assert traj.gt[-1] == 50.0
-        first = next(traj.points())
-        assert first.concurrence == pytest.approx(0.0, abs=1e-12)
-        assert first.purity == pytest.approx(1.0)
-        assert first.bell_max == pytest.approx(2.0)
+        assert traj.concurrence[0] == pytest.approx(0.0, abs=1e-12)
+        assert traj.purity[0] == pytest.approx(1.0)
+        assert traj.bell_max[0] == pytest.approx(2.0)
 
     def test_initial_linear_entropy_matches_closed_form(self):
         for lam in [0.3, 0.6, 0.9, 1.0]:
@@ -50,10 +49,22 @@ class TestSweep:
         traj = trajectory.sweep(params(delta=0.01), 500.0, 50001)
         assert traj.bell_max.max() > 2.0
 
+    def test_out_of_range_raw_metric_raises(self, monkeypatch):
+        # a raw value outside the physical range must not be clipped away
+        def too_large(p, gts):
+            return np.full(np.shape(gts), TSIRELSON + 1e-6)
+
+        monkeypatch.setattr(analytic, "bell_max_closed", too_large)
+        with pytest.raises(ValueError, match="bell_max"):
+            trajectory.sweep(params(delta=0.5), 10.0, 11)
+
     def test_rejects_bad_args(self):
         p = params()
         with pytest.raises(ValueError):
             trajectory.sweep(p, 0.0, 100)
+        for gt_max in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                trajectory.sweep(p, gt_max, 100)
         with pytest.raises(ValueError):
             trajectory.sweep(p, 10.0, 1)
         with pytest.raises(ValueError):
