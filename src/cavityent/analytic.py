@@ -12,8 +12,6 @@ function boundary.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .model import (
@@ -94,9 +92,11 @@ def rho_s_analytic(p: SystemParams, gt: float) -> TwoQubitState:
 
 
 def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
-    """Full atom-cavity density matrix at scaled time gt (unitary: gamma is
-    ignored)."""
+    """Full atom-cavity density matrix at scaled time gt (unitary only:
+    ValueError unless gamma == 0)."""
     gt = check_times(gt)
+    if p.gamma != 0:
+        raise ValueError("rho_full_analytic is unitary; gamma must be 0")
     t = gt / p.g
     omega = p.omega
     r = p.delta / omega
@@ -112,7 +112,7 @@ def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
     p11 = np.outer(ket1, ket1.conj())
     p01 = np.outer(ket0, ket1.conj())
 
-    c_plus, _, _, c_cross = _reduced_coeffs(replace(p, gamma=0.0), gt)
+    c_plus, _, _, c_cross = _reduced_coeffs(p, gt)
     x = complex(c_plus) * np.kron(p00, _P_BP)
     x += p.g**2 * lam / omega**2 * (1.0 - cos_ot) * np.kron(p11, _P_GG)
     x += lam / 4.0 * np.kron(p00, _P_BM)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import analytic, evolution, metrics
 from .frontier import (
@@ -23,6 +22,7 @@ from .frontier import (
     TSIRELSON,
     FrontierCurve,
     mems_linear_entropy,
+    plane_tree,
 )
 from .model import SystemParams, check_times
 
@@ -110,12 +110,16 @@ def sweep(
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
-    """Hausdorff-style asymmetry score of the (M, C) pattern.
+    """Mirror asymmetry score of the (M, C) pattern.
 
-    Reflects the trajectory about the horizontal axis at half the frontier
-    concurrence corresponding to the initial linear entropy; a small score
-    means the pattern is close to mirror symmetric. Undefined for a pure
-    initial state (the initial linear entropy is 0 and the axis degenerates).
+    The score is the symmetric Hausdorff distance between the trajectory's
+    plane points and their mirror image about the horizontal axis at half
+    the frontier concurrence corresponding to the initial linear entropy; a
+    small score means the pattern is close to mirror symmetric. The
+    reflection is an isometry and its own inverse, so the two directed
+    distances are equal and one directed query gives the score. Undefined
+    for a pure initial state (the initial linear entropy is 0 and the axis
+    degenerates).
     """
     if traj.params.lambda_ >= 1.0:
         raise ValueError("mirror axis undefined for lambda_ == 1")
@@ -126,11 +130,7 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     pts = traj.plane_points()
     reflected = pts.copy()
     reflected[:, 1] = 2.0 * axis - reflected[:, 1]
-    t_pts = cKDTree(pts)
-    t_ref = cKDTree(reflected)
-    d_fwd = t_ref.query(pts)[0].max()
-    d_bwd = t_pts.query(reflected)[0].max()
-    return float(max(d_fwd, d_bwd))
+    return float(plane_tree(pts).query(reflected)[0].max())
 
 
 def initial_linear_entropy(p: SystemParams) -> float:
@@ -142,7 +142,7 @@ def min_mems_distance(traj: Trajectory) -> float:
     """Smallest Euclidean (M, C)-plane distance to the MEMS frontier."""
     c = np.linspace(1.0, 0.0, 4097)
     curve_pts = np.column_stack([mems_linear_entropy(c), c])
-    return float(cKDTree(curve_pts).query(traj.plane_points())[0].min())
+    return float(plane_tree(traj.plane_points()).query(curve_pts)[0].min())
 
 
 __all__ = [

@@ -55,6 +55,11 @@ class TestFullState:
                 analytic.rho_full_analytic(p, 0.0) - initial_state(p)
             ).max() < 1e-14
 
+    def test_rejects_dephasing(self):
+        for gamma in (0.01, np.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                analytic.rho_full_analytic(params(delta=0.5, gamma=gamma), 1.0)
+
     def test_cavity_population_resonant_half_period(self):
         p = params(delta=0.0)
         gt = np.pi / p.omega

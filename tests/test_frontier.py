@@ -166,6 +166,14 @@ class TestBellFrontier:
         assert 2.0 / 3.0 in m
         assert np.array_equal(b, frontier.bell_envelope_candidate(m))
 
+    @pytest.mark.parametrize("n_points", [2, 3, 4])
+    def test_small_grid_keeps_endpoints(self, n_points):
+        m = frontier.bell_frontier(n_points=n_points).points[:, 0]
+        assert len(m) == n_points
+        assert m[0] == 0.0 and m[-1] == 1.0
+        # the branch point is a knot only when there is an interior knot
+        assert (2.0 / 3.0 in m) == (n_points >= 3)
+
     def test_bell_diagonal_search_stays_below_envelope(self):
         rng = np.random.default_rng(5)
         worst = -np.inf
@@ -213,8 +221,9 @@ class TestCoverage:
         assert rep.min_distance == pytest.approx(0.1 / np.sqrt(2), abs=1e-3)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            frontier.coverage(np.zeros((3, 2)), self.curve(), epsilon=0.0)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                frontier.coverage(np.zeros((3, 2)), self.curve(), epsilon=epsilon)
 
 
 class TestRationality:

@@ -135,7 +135,8 @@ TIME_ENTRY_POINTS = [
 @pytest.mark.parametrize("entry", TIME_ENTRY_POINTS, ids=lambda f: f.__name__)
 def test_time_entry_points_reject_bad_times(entry, bad):
     p = SystemParams(g=1.0, delta=0.5, lambda_=0.8, gamma=0.01)
-    with pytest.raises(ValueError):
+    # the time check must be what raises, not a check on p
+    with pytest.raises(ValueError, match="times"):
         entry(p, bad)
 
 

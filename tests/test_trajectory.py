@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavityent import analytic, trajectory
+from cavityent import analytic, frontier, trajectory
 from cavityent.frontier import TSIRELSON, coverage, mems_curve, werner_curve
 from cavityent.model import SystemParams
 
@@ -119,6 +119,75 @@ class TestPlanePatterns:
         assert pts.shape == (51, 2)
         bell_pts = traj.plane_points("bell")
         assert np.array_equal(bell_pts[:, 1], traj.bell_max)
+
+
+def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Exact distance from each query to its nearest point, by brute force
+    over all pairs (in chunks of queries, to bound memory)."""
+    out = np.empty(len(queries))
+    for i in range(0, len(queries), 256):
+        diff = queries[i:i + 256, None, :] - points[None, :, :]
+        out[i:i + 256] = np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
+    return out
+
+
+def random_trajectory(seed: int, n: int, repeats: int) -> trajectory.Trajectory:
+    """n random (M, C) points, the whole set repeated ``repeats`` times."""
+    rng = np.random.default_rng(seed)
+    m = np.tile(rng.uniform(0.0, 8.0 / 9.0, n), repeats)
+    c = np.tile(rng.uniform(0.0, 1.0, n), repeats)
+    return trajectory.Trajectory(
+        params=params(delta=0.5, lambda_=0.7),
+        source=trajectory.ANALYTIC,
+        gt=np.arange(len(m), dtype=float),
+        concurrence=c,
+        linear_entropy=m,
+        bell_max=np.full(len(m), 2.0),
+        purity=1.0 - 0.75 * m,
+    )
+
+
+PLANE_CASES = {
+    "one-point": lambda: random_trajectory(0, 1, 1),
+    "two-points-retraced": lambda: random_trajectory(1, 2, 3),
+    "random-40": lambda: random_trajectory(2, 40, 1),
+    "random-300": lambda: random_trajectory(3, 300, 1),
+    "random-25-retraced-40x": lambda: random_trajectory(4, 25, 40),
+    # periodic (Delta = 0): the points retrace one closed curve
+    "resonant-sweep": lambda: trajectory.sweep(
+        params(delta=0.0, lambda_=0.7), 500.0, 5001
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PLANE_CASES)
+def test_plane_analytics_match_brute_force(case):
+    traj = PLANE_CASES[case]()
+    pts = traj.plane_points()
+    for curve in (mems_curve(257), werner_curve(257)):
+        dist = nearest_distances(frontier._polyline_resample(curve.points), pts)
+        rep = coverage(traj, curve, epsilon=0.02)
+        assert rep.min_distance == pytest.approx(dist.min(), abs=1e-12)
+        assert rep.fraction_covered == pytest.approx(
+            np.mean(dist <= 0.02), abs=1e-12
+        )
+
+    c = np.linspace(1.0, 0.0, 4097)
+    mems_pts = np.column_stack([frontier.mems_linear_entropy(c), c])
+    assert trajectory.min_mems_distance(traj) == pytest.approx(
+        nearest_distances(mems_pts, pts).min(), abs=1e-12
+    )
+
+    curve = mems_curve(257)
+    axis = np.interp(traj.linear_entropy[0], *curve.points.T) / 2.0
+    reflected = pts * [1.0, -1.0] + [0.0, 2.0 * axis]
+    hausdorff = max(
+        nearest_distances(pts, reflected).max(),
+        nearest_distances(reflected, pts).max(),
+    )
+    assert trajectory.mirror_symmetry_check(traj, curve) == pytest.approx(
+        hausdorff, abs=1e-12
+    )
 
 
 class TestDephasedSweep:
