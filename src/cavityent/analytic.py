@@ -1,8 +1,8 @@
 """Closed-form dynamics of the two-atom/cavity system.
 
-The printed term lists for the full and reduced density matrices end in
-"+h.c."; they are interpreted as rho = X + X^dagger over the *entire* term
-list (Hermitian diagonal terms included, hence doubled). That is the only
+The printed term list for the reduced density matrix ends in "+h.c."; it
+is interpreted as rho = X + X^dagger over the *entire* term list
+(Hermitian diagonal terms included, hence doubled). That is the only
 reading consistent with trace one and with the t = 0 atomic marginal, and
 it is cross-checked against the numeric evolution oracle in the tests.
 
@@ -89,54 +89,6 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
 def rho_s_analytic(p: SystemParams, gt: float) -> TwoQubitState:
     """Reduced two-atom state at scaled time gt, validated."""
     return TwoQubitState(rho_s_matrices(p, float(gt)))
-
-
-def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
-    """Full atom-cavity density matrix at scaled time gt (unitary only:
-    ValueError unless gamma == 0)."""
-    gt = check_times(gt)
-    if p.gamma != 0:
-        raise ValueError("rho_full_analytic is unitary; gamma must be 0")
-    t = gt / p.g
-    omega = p.omega
-    r = p.delta / omega
-    lam = p.lambda_
-    cos_ot = np.cos(omega * t)
-
-    nc = p.n_max + 1
-    ket0 = np.zeros(nc, dtype=complex)
-    ket0[0] = 1.0
-    ket1 = np.zeros(nc, dtype=complex)
-    ket1[1] = 1.0
-    p00 = np.outer(ket0, ket0.conj())
-    p11 = np.outer(ket1, ket1.conj())
-    p01 = np.outer(ket0, ket1.conj())
-
-    c_plus, _, _, c_cross = _reduced_coeffs(p, gt)
-    x = complex(c_plus) * np.kron(p00, _P_BP)
-    x += p.g**2 * lam / omega**2 * (1.0 - cos_ot) * np.kron(p11, _P_GG)
-    x += lam / 4.0 * np.kron(p00, _P_BM)
-    x += (
-        np.sqrt(2.0) * p.g * lam / (2.0 * omega)
-        * (r * (1.0 - cos_ot) + 1j * np.sin(omega * t))
-        * np.kron(p01, np.outer(BELL_PLUS, _GG.conj()))
-    )
-    x += (
-        np.sqrt(2.0) * p.g * lam / (2.0 * omega)
-        * (
-            np.exp(1j * (omega - p.delta) * t / 2.0)
-            - np.exp(-1j * (omega + p.delta) * t / 2.0)
-        )
-        * np.kron(p01, np.outer(BELL_MINUS, _GG.conj()))
-    )
-    x += complex(c_cross) * np.kron(p00, _BP_BM)
-    x += (1.0 - lam) / 2.0 * np.kron(p00, _P_GG)
-
-    rho = x + x.conj().T
-    tr = rho.trace().real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"full-state trace {tr} deviates from 1")
-    return rho
 
 
 def concurrence_closed(p: SystemParams, gt):

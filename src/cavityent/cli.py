@@ -47,7 +47,6 @@ class RunConfig:
     gamma_times_g: float = 0.0
     gt_max: float = 50.0
     n_steps: int | None = None
-    n_max: int = 1
     source: str = trajectory.ANALYTIC
     output: str = "-"
     timestamp: bool = True
@@ -60,7 +59,6 @@ class RunConfig:
             delta=self.delta_over_g,
             lambda_=self.lambda_,
             gamma=self.gamma_times_g,
-            n_max=self.n_max,
         )
 
     def grid_points(self) -> int:
@@ -97,7 +95,6 @@ _CONFIG_KEYS = {
     "gamma": ("gamma_times_g", float),
     "gt_max": ("gt_max", float),
     "n_steps": ("n_steps", int),
-    "n_max": ("n_max", int),
     "source": ("source", str),
 }
 
@@ -136,7 +133,6 @@ def _run_sweep_to_csv(cfg: RunConfig, command: str):
         "gamma_times_g": _fmt(cfg.gamma_times_g),
         "gt_max": _fmt(cfg.gt_max),
         "n_steps": cfg.grid_points(),
-        "n_max": cfg.n_max,
         "source": cfg.source,
     }
     _write_csv(cfg.output, meta, TRAJECTORY_HEADER, _trajectory_rows(traj), cfg.timestamp)
@@ -208,7 +204,7 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_recurrences(args) -> int:
-    p = SystemParams(g=1.0, delta=args.delta, lambda_=1.0, n_max=args.n_max)
+    p = SystemParams(g=1.0, delta=args.delta, lambda_=1.0)
     k, gt_k, c_k = analytic.recurrence_concurrences(p, args.k_max)
     report = frontier.classify_ratio(p, tol=args.tol, q_max=args.q_max)
     meta = {
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dephasing rate gamma*g")
     ev.add_argument("--gt-max", dest="gt_max", type=float)
     ev.add_argument("--n-steps", dest="n_steps", type=int)
-    ev.add_argument("--n-max", dest="n_max", type=int, help="cavity Fock cutoff")
     ev.add_argument("--source", choices=trajectory.SOURCES)
     ev.add_argument("--config", default=None,
                     help="key=value config file; flags given on the command line win")
@@ -287,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recurrences", help="pure-state recurrence series")
     rec.add_argument("--delta", type=float, default=0.0, help="detuning Delta/g")
     rec.add_argument("--k-max", dest="k_max", type=int, default=100)
-    rec.add_argument("--n-max", dest="n_max", type=int, default=1)
     rec.add_argument("--tol", type=float, default=1e-6,
                      help="rational-approximation tolerance for Delta/Omega")
     rec.add_argument("--q-max", dest="q_max", type=int, default=1000)

@@ -2,10 +2,12 @@
 
     d rho / dt = -i [H, rho] - (gamma/2) [H, [H, rho]]
 
-H is time independent, so the exact solution is spectral: in the H
-eigenbasis, rho_mn(t) = rho_mn(0) exp(-i w_mn t - (gamma/2) w_mn^2 t) with
-w_mn = E_m - E_n. A fixed-step RK4 integrator of the right-hand side is
-kept as an independent cross-check with a different failure mode.
+States are 4x4 matrices on the reachable block (|0,eg>, |0,ge>, |0,gg>,
+|1,gg>) of cavityent.model. H is time independent, so the exact solution
+is spectral: in the H eigenbasis, rho_mn(t) = rho_mn(0) exp(-i w_mn t -
+(gamma/2) w_mn^2 t) with w_mn = E_m - E_n. A fixed-step RK4 integrator of
+the right-hand side is kept as an independent cross-check with a different
+failure mode. reduce_to_atoms traces out the cavity.
 """
 from __future__ import annotations
 
@@ -14,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import wootters_concurrence_many
-from .model import (
-    SystemParams,
-    check_times,
-    hamiltonian,
-    initial_state,
-    single_excitation_indices,
-)
+from .model import IDX_GG, SystemParams, check_times, hamiltonian, initial_state
 
 # default unscaled RK4 step, in units of 1/Omega
 _STEP_OMEGA = 0.005
@@ -32,16 +28,14 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Spectral-evolution trajectory of full-system states.
+    """Spectral-evolution trajectory of block states.
 
     times    scaled times gt (increasing)
-    states   array (n_times, dim, dim) of full-system density matrices
-    leakage  max population outside the single-excitation subspace
+    states   array (n_times, 4, 4) of block density matrices
     """
 
     times: np.ndarray
     states: np.ndarray
-    leakage: float
 
 
 def _eigensystem(p: SystemParams):
@@ -50,55 +44,46 @@ def _eigensystem(p: SystemParams):
 
 
 def evolve_spectral_grid(p: SystemParams, gts) -> np.ndarray:
-    """Full-system states at each scaled time, shape (n, dim, dim)."""
+    """Block states at each scaled time, shape (n, 4, 4)."""
     gts = np.atleast_1d(check_times(gts))
     w, v = _eigensystem(p)
     rho0 = v.conj().T @ initial_state(p) @ v
     omega_mn = w[:, None] - w[None, :]
     t = gts / p.g
-    expo = (-1j * omega_mn - p.gamma / 2.0 * omega_mn**2)[None, :, :] * t[
-        :, None, None
-    ]
-    rho_t = rho0[None, :, :] * np.exp(expo)
-    return np.einsum("ab,tbc,cd->tad", v, rho_t, v.conj().T)
+    expo = (-1j * omega_mn - p.gamma / 2.0 * omega_mn**2) * t[:, None, None]
+    return v @ (rho0 * np.exp(expo)) @ v.conj().T
 
 
 def evolve_spectral(p: SystemParams, gt: float) -> np.ndarray:
-    """Full-system state at a single scaled time."""
+    """Block state at a single scaled time."""
     return evolve_spectral_grid(p, [float(gt)])[0]
 
 
-def reduce_to_atoms(states: np.ndarray, n_max: int) -> np.ndarray:
-    """Trace out the cavity from a stack of full-system states."""
-    states = np.asarray(states)
-    squeeze = states.ndim == 2
-    if squeeze:
-        states = states[None]
-    nc = n_max + 1
-    reduced = np.einsum("tnanb->tab", states.reshape(-1, nc, 4, nc, 4))
-    return reduced[0] if squeeze else reduced
+def reduce_to_atoms(states: np.ndarray, n_max: int = 1) -> np.ndarray:
+    """Trace out the cavity from a block state or a stack of them.
 
-
-def subspace_leakage(p: SystemParams, states: np.ndarray) -> float:
-    """Max total population outside the single-excitation subspace."""
+    The |0,eg>, |0,ge>, |0,gg> sub-block becomes the atoms' (eg, ge, gg)
+    sub-block and the |1,gg> population adds to gg; the |ee> level stays
+    empty. n_max is the cavity cutoff the caller assumes; the block reaches
+    one photon only, so any value other than 1 is rejected.
+    """
+    if n_max != 1:
+        raise ValueError(f"block states reach n_max = 1 only, got {n_max}")
     states = np.asarray(states)
-    if states.ndim == 2:
-        states = states[None]
-    pops = np.einsum("tii->ti", states).real
-    outside = np.ones(states.shape[1], dtype=bool)
-    outside[single_excitation_indices(p.n_max)] = False
-    return float(pops[:, outside].sum(axis=1).max())
+    if states.shape[-2:] != (4, 4):
+        raise ValueError(f"block states must be 4x4, got {states.shape}")
+    reduced = np.zeros(states.shape, dtype=complex)
+    reduced[..., 1:, 1:] = states[..., :3, :3]
+    reduced[..., IDX_GG, IDX_GG] += states[..., 3, 3]
+    return reduced
 
 
 def evolve_grid(p: SystemParams, gts) -> EvolutionResult:
-    """Spectral evolution over a time grid, with the leakage monitor."""
+    """Spectral evolution over a strictly increasing time grid."""
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     if np.any(np.diff(gts) <= 0):
         raise ValueError("times must be strictly increasing")
-    states = evolve_spectral_grid(p, gts)
-    return EvolutionResult(
-        times=gts, states=states, leakage=subspace_leakage(p, states)
-    )
+    return EvolutionResult(times=gts, states=evolve_spectral_grid(p, gts))
 
 
 def _rhs(h: np.ndarray, gamma: float, rho: np.ndarray) -> np.ndarray:
@@ -138,7 +123,7 @@ def evolve_rk4(
 
 
 def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
-    """RK4 states at nondecreasing scaled times, shape (n, dim, dim).
+    """RK4 block states at nondecreasing scaled times, shape (n, 4, 4).
 
     Each interval between grid points is integrated from the state at the
     previous point with the default step 0.005/Omega (no step-halving
@@ -150,7 +135,7 @@ def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
     h = hamiltonian(p)
     dt = _STEP_OMEGA / p.omega
     rho = initial_state(p)
-    states = np.empty((len(gts), p.dim, p.dim), dtype=complex)
+    states = np.empty((len(gts), *rho.shape), dtype=complex)
     prev = 0.0
     for i, gt in enumerate(gts):
         rho = _rk4_run(h, p.gamma, rho, (gt - prev) / p.g, dt)
@@ -177,6 +162,6 @@ def _rk4_run(h, gamma, rho0, t_final, dt):
 def dephased_concurrence_oracle(p: SystemParams, gt):
     """Wootters concurrence of the cavity-traced spectral solution."""
     gts = np.atleast_1d(np.asarray(gt, dtype=float))
-    reduced = reduce_to_atoms(evolve_spectral_grid(p, gts), p.n_max)
+    reduced = reduce_to_atoms(evolve_spectral_grid(p, gts))
     out = wootters_concurrence_many(reduced)
     return float(out[0]) if np.ndim(gt) == 0 else out

@@ -316,8 +316,8 @@ def continued_fraction_convergents(x: Fraction, q_max: int) -> list[tuple[int, i
 
 def classify_ratio(p: SystemParams, tol: float, q_max: int) -> RationalityReport:
     """Continued-fraction rationality report for Delta/Omega."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError("tol must be positive and finite")
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     ratio = p.delta / p.omega

@@ -5,10 +5,16 @@ starts in vacuum. We work in the rotating frame where only the detuning
 Delta = omega_0 - omega and the coupling g appear; the dropped multiple of
 the conserved excitation number contributes only sector-global phases.
 
+The initial state holds at most one excitation, and both the Hamiltonian
+and the phase-dephasing term conserve excitation number. Every state
+therefore stays in the 4-dimensional reachable block, and the Hamiltonian
+and initial state are given there; no cavity cutoff is involved.
+
 Basis conventions (fixed once, everything downstream depends on them):
   * single atom: index 0 = |e>, index 1 = |g>
   * atomic pair: |ee>, |eg>, |ge>, |gg> at indices 0..3
-  * full space:  cavity-major, |n> (x) |atom1> (x) |atom2>
+  * block:       |0,eg>, |0,ge>, |0,gg>, |1,gg> at indices 0..3
+                 (|n, atom1 atom2> with n cavity photons)
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, herm_eig, tensor
+from .linalg import as_complex_matrix, herm_eig
 
 # atomic pair indices
 IDX_EE, IDX_EG, IDX_GE, IDX_GG = 0, 1, 2, 3
@@ -42,24 +48,26 @@ class SystemParams:
     delta   detuning Delta = omega_0 - omega (any sign)
     lambda_ initial excited population of atom 1, in [0, 1]
     gamma   phase decoherence rate (>= 0; units of time)
-    n_max   cavity Fock cutoff (>= 1)
+
+    g, delta and gamma must be finite.
     """
 
     g: float
     delta: float = 0.0
     lambda_: float = 1.0
     gamma: float = 0.0
-    n_max: int = 1
 
     def __post_init__(self):
+        for name in ("g", "delta", "gamma"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
     @property
     def omega(self) -> float:
@@ -68,7 +76,14 @@ class SystemParams:
 
     @property
     def dim(self) -> int:
-        return 4 * (self.n_max + 1)
+        """Dimension of the reachable block the states live in."""
+        return 4
+
+    @property
+    def n_max(self) -> int:
+        """Highest cavity photon number reached: the single excitation never
+        puts a second photon in the cavity."""
+        return 1
 
 
 @dataclass(frozen=True)
@@ -112,56 +127,24 @@ def as_state_matrix(state) -> np.ndarray:
     return as_complex_matrix(state)
 
 
-def destroy(n_levels: int) -> np.ndarray:
-    """Truncated annihilation operator on n_levels Fock states."""
-    return np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), 1).astype(complex)
-
-
-def _three_kron(c, a1, a2) -> np.ndarray:
-    return tensor(c, tensor(a1, a2))
-
-
 def hamiltonian(p: SystemParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian: Delta * (atomic excitations) + couplings."""
-    nc = p.n_max + 1
-    a = destroy(nc)
-    ic = np.eye(nc, dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    n_e = SIGMA_PLUS @ SIGMA_MINUS
-    h = p.delta * (_three_kron(ic, n_e, i2) + _three_kron(ic, i2, n_e))
-    coupling = _three_kron(a, SIGMA_PLUS, i2) + _three_kron(a, i2, SIGMA_PLUS)
-    h = h + p.g * (coupling + coupling.conj().T)
-    return h
-
-
-def initial_state(p: SystemParams) -> np.ndarray:
-    """rho(0): vacuum cavity, atom 1 mixed with weight lambda_, atom 2 ground."""
-    rho = np.zeros((p.dim, p.dim), dtype=complex)
-    rho[IDX_EG, IDX_EG] = p.lambda_          # |0, e, g>
-    rho[IDX_GG, IDX_GG] = 1.0 - p.lambda_    # |0, g, g>
-    return rho
-
-
-def excitation_number(p: SystemParams) -> np.ndarray:
-    """Total excitation N = a^dag a + sum_i sigma_+^(i) sigma_-^(i)."""
-    nc = p.n_max + 1
-    ic = np.eye(nc, dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    n_cav = np.diag(np.arange(nc, dtype=float)).astype(complex)
-    n_e = SIGMA_PLUS @ SIGMA_MINUS
-    return (
-        _three_kron(n_cav, i2, i2)
-        + _three_kron(ic, n_e, i2)
-        + _three_kron(ic, i2, n_e)
+    """Rotating-frame Hamiltonian on the block (|0,eg>, |0,ge>, |0,gg>,
+    |1,gg>): Delta on |0,eg> and |0,ge>, and the coupling g between each of
+    them and |1,gg>."""
+    d, g = p.delta, p.g
+    return np.array(
+        [[d, 0, 0, g],
+         [0, d, 0, g],
+         [0, 0, 0, 0],
+         [g, g, 0, 0]],
+        dtype=complex,
     )
 
 
-def single_excitation_indices(n_max: int) -> list[int]:
-    """Full-space indices spanning the reachable subspace of the Eq.-(2)-type
-    initial state: {|0,eg>, |0,ge>, |0,gg>, |1,gg>}."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return [IDX_EG, IDX_GE, IDX_GG, 4 + IDX_GG]
+def initial_state(p: SystemParams) -> np.ndarray:
+    """rho(0) on the block: vacuum cavity, atom 1 excited with weight
+    lambda_, atom 2 ground."""
+    return np.diag([p.lambda_, 0.0, 1.0 - p.lambda_, 0.0]).astype(complex)
 
 
 __all__ = [
@@ -171,9 +154,6 @@ __all__ = [
     "check_times",
     "hamiltonian",
     "initial_state",
-    "excitation_number",
-    "single_excitation_indices",
-    "destroy",
     "herm_eig",
     "SIGMA_X",
     "SIGMA_Y",

@@ -7,8 +7,8 @@ on a uniform grid of scaled times from one of three sources:
   spectral  exact spectral solution of the master equation, cavity-traced
   rk4       fixed-step RK4 integration (slow; cross-check only)
 
-The raw metrics must lie in their physical ranges within 1e-9; they are
-then clipped into them.
+The raw metrics must be finite and lie in their physical ranges within
+1e-9; they are then clipped into them.
 """
 from __future__ import annotations
 
@@ -61,11 +61,13 @@ _RANGES = {
 
 
 def _clip_to_ranges(raw: dict) -> dict:
-    """Each raw metric clipped into its range; ValueError if it strays
-    outside by more than _RANGE_SLACK."""
+    """Each raw metric clipped into its range; ValueError if it holds a
+    non-finite value or strays outside by more than _RANGE_SLACK."""
     out = {}
     for name, values in raw.items():
         lo, hi = _RANGES[name]
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} has non-finite values")
         if values.min() < lo - _RANGE_SLACK or values.max() > hi + _RANGE_SLACK:
             raise ValueError(
                 f"{name} out of range [{values.min()}, {values.max()}]"
@@ -96,7 +98,7 @@ def sweep(
             if source == SPECTRAL
             else evolution.evolve_rk4_grid
         )
-        states = evolution.reduce_to_atoms(evolve(p, gts), p.n_max)
+        states = evolution.reduce_to_atoms(evolve(p, gts))
         conc = metrics.wootters_concurrence_many(states)
         bell = metrics.bell_max_many(states)
 

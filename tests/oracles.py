@@ -1,0 +1,165 @@
+"""Full-space reference for the block solvers.
+
+The library evolves 4x4 states on the reachable block (|0,eg>, |0,ge>,
+|0,gg>, |1,gg>) of cavityent.model. This module rebuilds the Kronecker
+atom-cavity space with an explicit photon cutoff n_max: dimension
+4 (n_max + 1), cavity-major |n> (x) |atom1> (x) |atom2>, with the atomic
+pair order of cavityent.model. Tests embed block states into it, compare
+them with full-space runs and check that no population leaves the block.
+"""
+import numpy as np
+
+from cavityent import evolution
+from cavityent.model import (
+    BELL_MINUS,
+    BELL_PLUS,
+    IDX_EG,
+    IDX_GE,
+    IDX_GG,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SystemParams,
+    check_times,
+)
+
+_I2 = np.eye(2, dtype=complex)
+_N_E = SIGMA_PLUS @ SIGMA_MINUS
+
+
+def _three_kron(c, a1, a2) -> np.ndarray:
+    return np.kron(c, np.kron(a1, a2))
+
+
+def destroy(n_levels: int) -> np.ndarray:
+    """Truncated annihilation operator on n_levels Fock states."""
+    return np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), 1).astype(complex)
+
+
+def full_hamiltonian(p: SystemParams, n_max: int) -> np.ndarray:
+    """Rotating-frame Hamiltonian Delta * (atomic excitations) + couplings."""
+    nc = n_max + 1
+    a = destroy(nc)
+    ic = np.eye(nc, dtype=complex)
+    h = p.delta * (_three_kron(ic, _N_E, _I2) + _three_kron(ic, _I2, _N_E))
+    coupling = _three_kron(a, SIGMA_PLUS, _I2) + _three_kron(a, _I2, SIGMA_PLUS)
+    return h + p.g * (coupling + coupling.conj().T)
+
+
+def excitation_number(n_max: int) -> np.ndarray:
+    """Total excitation N = a^dag a + sum_i sigma_+^(i) sigma_-^(i)."""
+    nc = n_max + 1
+    ic = np.eye(nc, dtype=complex)
+    n_cav = np.diag(np.arange(nc, dtype=float)).astype(complex)
+    return (
+        _three_kron(n_cav, _I2, _I2)
+        + _three_kron(ic, _N_E, _I2)
+        + _three_kron(ic, _I2, _N_E)
+    )
+
+
+def full_initial_state(p: SystemParams, n_max: int) -> np.ndarray:
+    """rho(0): vacuum cavity, atom 1 mixed with weight lambda_, atom 2 ground."""
+    dim = 4 * (n_max + 1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[IDX_EG, IDX_EG] = p.lambda_          # |0, e, g>
+    rho[IDX_GG, IDX_GG] = 1.0 - p.lambda_    # |0, g, g>
+    return rho
+
+
+def block_indices(n_max: int) -> list[int]:
+    """Full-space indices of the block basis |0,eg>, |0,ge>, |0,gg>, |1,gg>."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return [IDX_EG, IDX_GE, IDX_GG, 4 + IDX_GG]
+
+
+def embed(states, n_max: int) -> np.ndarray:
+    """Block states (..., 4, 4) placed into the full space at cutoff n_max."""
+    states = np.asarray(states)
+    dim = 4 * (n_max + 1)
+    full = np.zeros(states.shape[:-2] + (dim, dim), dtype=complex)
+    idx = np.array(block_indices(n_max))
+    full[..., idx[:, None], idx[None, :]] = states
+    return full
+
+
+def full_spectral_grid(p: SystemParams, gts, n_max: int) -> np.ndarray:
+    """Exact spectral solution of the dephasing master equation in the full
+    space, shape (n, dim, dim)."""
+    gts = np.atleast_1d(check_times(gts))
+    w, v = np.linalg.eigh(full_hamiltonian(p, n_max))
+    rho0 = v.conj().T @ full_initial_state(p, n_max) @ v
+    omega_mn = w[:, None] - w[None, :]
+    t = gts / p.g
+    expo = (-1j * omega_mn - p.gamma / 2.0 * omega_mn**2)[None] * t[:, None, None]
+    return np.einsum("ab,tbc,cd->tad", v, rho0[None] * np.exp(expo), v.conj().T)
+
+
+def full_rk4(p: SystemParams, gt: float, n_max: int, dt: float) -> np.ndarray:
+    """Full-space state at scaled time gt from the library's RK4 stepper."""
+    return evolution._rk4_run(
+        full_hamiltonian(p, n_max), p.gamma, full_initial_state(p, n_max), gt / p.g, dt
+    )
+
+
+def cavity_trace(states, n_max: int) -> np.ndarray:
+    """Two-atom states from full-space states (..., dim, dim)."""
+    states = np.asarray(states)
+    nc = n_max + 1
+    shaped = states.reshape(states.shape[:-2] + (nc, 4, nc, 4))
+    return np.einsum("...nanb->...ab", shaped)
+
+
+def leakage(states, n_max: int) -> float:
+    """Max total population outside the block."""
+    pops = np.einsum("...ii->...i", np.asarray(states)).real
+    outside = np.ones(pops.shape[-1], dtype=bool)
+    outside[block_indices(n_max)] = False
+    return float(pops[..., outside].sum(axis=-1).max())
+
+
+def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
+    """Printed closed-form atom-cavity density matrix at scaled time gt and
+    n_max = 1 (unitary only: ValueError unless gamma == 0)."""
+    gt = check_times(gt)
+    if p.gamma != 0:
+        raise ValueError("rho_full_analytic is unitary; gamma must be 0")
+    t = gt / p.g
+    omega = p.omega
+    r = p.delta / omega
+    lam = p.lambda_
+    cos_ot = np.cos(omega * t)
+
+    gg = np.zeros(4, dtype=complex)
+    gg[IDX_GG] = 1.0
+    p00 = np.diag([1.0, 0.0]).astype(complex)
+    p11 = np.diag([0.0, 1.0]).astype(complex)
+    p01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    proj_bp = np.outer(BELL_PLUS, BELL_PLUS.conj())
+    proj_bm = np.outer(BELL_MINUS, BELL_MINUS.conj())
+    proj_gg = np.outer(gg, gg.conj())
+
+    c_plus = lam / 8.0 * (1.0 + r * r + (1.0 - r * r) * cos_ot)
+    c_cross = lam / 4.0 * (
+        (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0)
+        + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0)
+    )
+    x = c_plus * np.kron(p00, proj_bp)
+    x += p.g**2 * lam / omega**2 * (1.0 - cos_ot) * np.kron(p11, proj_gg)
+    x += lam / 4.0 * np.kron(p00, proj_bm)
+    x += (
+        np.sqrt(2.0) * p.g * lam / (2.0 * omega)
+        * (r * (1.0 - cos_ot) + 1j * np.sin(omega * t))
+        * np.kron(p01, np.outer(BELL_PLUS, gg.conj()))
+    )
+    x += (
+        np.sqrt(2.0) * p.g * lam / (2.0 * omega)
+        * (
+            np.exp(1j * (omega - p.delta) * t / 2.0)
+            - np.exp(-1j * (omega + p.delta) * t / 2.0)
+        )
+        * np.kron(p01, np.outer(BELL_MINUS, gg.conj()))
+    )
+    x += c_cross * np.kron(p00, np.outer(BELL_PLUS, BELL_MINUS.conj()))
+    x += (1.0 - lam) / 2.0 * np.kron(p00, proj_gg)
+    return x + x.conj().T

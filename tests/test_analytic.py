@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from cavityent import analytic
 from cavityent.linalg import partial_trace
 from cavityent.model import (
@@ -8,12 +9,11 @@ from cavityent.model import (
     IDX_EG,
     IDX_GG,
     SystemParams,
-    initial_state,
 )
 
 
-def params(delta=0.0, lambda_=1.0, gamma=0.0, n_max=1):
-    return SystemParams(g=1.0, delta=delta, lambda_=lambda_, gamma=gamma, n_max=n_max)
+def params(delta=0.0, lambda_=1.0, gamma=0.0):
+    return SystemParams(g=1.0, delta=delta, lambda_=lambda_, gamma=gamma)
 
 
 class TestReducedState:
@@ -48,36 +48,38 @@ class TestReducedState:
 
 
 class TestFullState:
+    """The printed atom-cavity state (tests/oracles.py) at n_max = 1."""
+
     def test_t0_equals_initial(self):
         for lam in [0.3, 1.0]:
             p = params(delta=0.5, lambda_=lam)
             assert np.abs(
-                analytic.rho_full_analytic(p, 0.0) - initial_state(p)
+                oracles.rho_full_analytic(p, 0.0) - oracles.full_initial_state(p, 1)
             ).max() < 1e-14
 
     def test_rejects_dephasing(self):
         for gamma in (0.01, np.nan):
             with pytest.raises(ValueError, match="gamma"):
-                analytic.rho_full_analytic(params(delta=0.5, gamma=gamma), 1.0)
+                oracles.rho_full_analytic(params(delta=0.5, gamma=gamma), 1.0)
 
     def test_cavity_population_resonant_half_period(self):
         p = params(delta=0.0)
         gt = np.pi / p.omega
-        rho = analytic.rho_full_analytic(p, gt)
+        rho = oracles.rho_full_analytic(p, gt)
         n_cav = np.kron(np.diag([0.0, 1.0]), np.eye(4))
         assert np.trace(n_cav @ rho).real == pytest.approx(0.5, abs=1e-12)
 
     def test_trace_one(self):
         p = params(delta=1.0, lambda_=0.6)
         for gt in [0.0, 0.7, 13.3, 400.0]:
-            assert abs(analytic.rho_full_analytic(p, gt).trace() - 1.0) < 1e-10
+            assert abs(oracles.rho_full_analytic(p, gt).trace() - 1.0) < 1e-10
 
     def test_partial_trace_matches_reduced(self):
         for delta in [0.0, 0.5, 5.0]:
             for lam in [0.6, 1.0]:
                 p = params(delta=delta, lambda_=lam)
                 for gt in [0.0, 0.9, 7.7, 123.4]:
-                    full = analytic.rho_full_analytic(p, gt)
+                    full = oracles.rho_full_analytic(p, gt)
                     red = partial_trace(full, [2, 2, 2], {1, 2})
                     rs = analytic.rho_s_analytic(p, gt).matrix
                     assert np.abs(red - rs).max() < 1e-12

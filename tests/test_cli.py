@@ -68,6 +68,22 @@ class TestEvolve:
         assert main(["evolve", "--gt-max", "-3"]) == 2
         assert main(["evolve", "--gamma", "-0.1"]) == 2
         assert main(["evolve", "--gt-max", "nan"]) == 2
+        for flag in ("--delta", "--gamma"):
+            for bad in ("nan", "inf"):
+                assert main(["evolve", flag, bad]) == 2
+
+    def test_photon_cutoff_is_not_an_input(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_max = 2\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        for cmd in ("evolve", "recurrences"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--n-max", "2"])
+            assert exc.value.code == 2
+        out = tmp_path / "t.csv"
+        main(["evolve", "--gt-max", "1", "--n-steps", "3", "-o", str(out)])
+        meta, _, _ = read_csv(out)
+        assert "n_max" not in meta
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -157,6 +173,10 @@ class TestRecurrences:
                      "--tol", "1e-12", "-o", str(out)]) == 0
         meta, _, _ = read_csv(out)
         assert meta["classification"] == "EFFECTIVELY_IRRATIONAL"
+
+    def test_bad_tol_exit_2(self):
+        for bad in ("nan", "inf", "0"):
+            assert main(["recurrences", "--delta", "0.5", "--tol", bad]) == 2
 
 
 class TestFigure:

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from cavityent import analytic, evolution
-from cavityent.model import (
-    SystemParams,
-    excitation_number,
-    hamiltonian,
-    initial_state,
-)
+from cavityent.model import SystemParams, hamiltonian, initial_state
 
 
 def params(**kw):
@@ -25,15 +21,15 @@ class TestSpectral:
         for delta in [0.0, 0.5, 5.0]:
             for lam in [0.6, 1.0]:
                 p = params(delta=delta, lambda_=lam)
-                full = evolution.evolve_spectral_grid(p, gts)
-                red = evolution.reduce_to_atoms(full, p.n_max)
+                block = evolution.evolve_spectral_grid(p, gts)
+                red = evolution.reduce_to_atoms(block)
                 assert np.abs(red - analytic.rho_s_matrices(p, gts)).max() < 1e-8
 
     def test_full_state_matches_analytic(self):
         p = params(delta=0.5)
         for gt in [0.3, 4.2, 77.7]:
-            got = evolution.evolve_spectral(p, gt)
-            assert np.abs(got - analytic.rho_full_analytic(p, gt)).max() < 1e-10
+            got = oracles.embed(evolution.evolve_spectral(p, gt), 1)
+            assert np.abs(got - oracles.rho_full_analytic(p, gt)).max() < 1e-10
 
     def test_eigenbasis_populations_constant_under_dephasing(self):
         p = params(delta=0.5, gamma=0.05)
@@ -51,16 +47,18 @@ class TestSpectral:
             assert np.linalg.eigvalsh(rho).min() >= -1e-8
 
     def test_leakage_negligible(self):
+        # the full-space solution never populates states outside the block
         p = params(delta=0.5, lambda_=0.8, gamma=0.01)
-        result = evolution.evolve_grid(p, np.linspace(0.1, 200, 500))
-        assert result.leakage <= 1e-12
+        for n_max in (1, 2):
+            states = oracles.full_spectral_grid(p, np.linspace(0.1, 200, 500), n_max)
+            assert oracles.leakage(states, n_max) <= 1e-12
 
     def test_excitation_expectation_constant(self):
         p = params(delta=0.5, lambda_=0.7, gamma=0.02)
-        n = excitation_number(p)
+        n = np.diag([1.0, 1.0, 0.0, 1.0])  # excitation number on the block
         states = evolution.evolve_spectral_grid(p, np.linspace(0, 80, 200))
         vals = np.einsum("ij,tji->t", n, states).real
-        assert np.abs(vals - vals[0]).max() < 1e-10
+        assert np.abs(vals - p.lambda_).max() < 1e-10
 
 
 class TestRK4:
@@ -69,7 +67,7 @@ class TestRK4:
         p = params(delta=0.0)
         for gt in [0.5, 1.5, 3.0]:
             rho = evolution.evolve_rk4(p, gt, check_step=False)
-            red = evolution.reduce_to_atoms(rho, p.n_max)
+            red = evolution.reduce_to_atoms(rho)
             expected = (1.0 - np.cos(p.omega * gt)) / 4.0
             assert wootters_concurrence(red) == pytest.approx(expected, abs=1e-8)
 
@@ -121,6 +119,61 @@ class TestRK4:
             evolution.evolve_rk4(p, -1.0)
         with pytest.raises(ValueError):
             evolution.evolve_rk4(p, 1.0, dt=0.0)
+
+
+SPACE_PARAMS = [
+    dict(delta=0.0, lambda_=1.0),
+    dict(delta=0.5, lambda_=0.7, gamma=0.01),
+    dict(delta=-5.0, lambda_=0.6, gamma=0.2),
+]
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+class TestFullSpaceOracle:
+    """Block solutions embedded at cutoff n_max equal full-space runs."""
+
+    def test_spectral_matches_full_space(self, n_max):
+        gts = np.linspace(0.0, 60.0, 301)
+        for kw in SPACE_PARAMS:
+            p = params(**kw)
+            block = evolution.evolve_spectral_grid(p, gts)
+            assert block.shape == (len(gts), 4, 4)
+            full = oracles.full_spectral_grid(p, gts, n_max)
+            assert np.abs(oracles.embed(block, n_max) - full).max() < 1e-12
+            reduced = oracles.cavity_trace(full, n_max)
+            assert np.abs(evolution.reduce_to_atoms(block) - reduced).max() < 1e-12
+
+    def test_rk4_matches_full_space(self, n_max):
+        for kw in SPACE_PARAMS:
+            p = params(**kw)
+            dt = 0.005 / p.omega
+            block = evolution.evolve_rk4(p, 2.5, check_step=False)
+            assert block.shape == (4, 4)
+            full = oracles.full_rk4(p, 2.5, n_max, dt)
+            assert np.abs(oracles.embed(block, n_max) - full).max() < 1e-12
+            assert oracles.leakage(full, n_max) <= 1e-12
+            grid = evolution.evolve_rk4_grid(p, [0.0, 2.5])
+            assert grid.shape == (2, 4, 4)
+            assert np.abs(grid[1] - block).max() < 1e-12
+
+
+class TestReduceToAtoms:
+    def test_matches_cavity_trace_of_embedding(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        block = x @ np.swapaxes(x, -1, -2).conj()
+        for n_max in (1, 2):
+            want = oracles.cavity_trace(oracles.embed(block, n_max), n_max)
+            assert np.array_equal(evolution.reduce_to_atoms(block), want)
+        assert np.array_equal(evolution.reduce_to_atoms(block[0]), want[0])
+
+    def test_rejects_other_cutoffs_and_shapes(self):
+        rho = initial_state(params())
+        for n_max in (0, 2, 4):
+            with pytest.raises(ValueError, match="n_max"):
+                evolution.reduce_to_atoms(rho, n_max)
+        with pytest.raises(ValueError, match="4x4"):
+            evolution.reduce_to_atoms(np.eye(8) / 8)
 
 
 class TestDephasedOracle:

@@ -260,7 +260,8 @@ class TestRationality:
 
     def test_rejects_bad_args(self):
         p = SystemParams(g=1.0)
-        with pytest.raises(ValueError):
-            frontier.classify_ratio(p, tol=0.0, q_max=100)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                frontier.classify_ratio(p, tol=tol, q_max=100)
         with pytest.raises(ValueError):
             frontier.classify_ratio(p, tol=1e-6, q_max=1)

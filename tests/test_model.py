@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from cavityent import analytic, evolution
 from cavityent.model import (
     IDX_EG,
@@ -8,11 +9,12 @@ from cavityent.model import (
     SystemParams,
     TwoQubitState,
     check_times,
-    excitation_number,
     hamiltonian,
     initial_state,
-    single_excitation_indices,
 )
+
+# block indices of |0,eg> and |0,gg>
+B_EG, B_GG = 0, 2
 
 
 class TestSystemParams:
@@ -27,64 +29,96 @@ class TestSystemParams:
             SystemParams(g=1.0, lambda_=1.5)
         with pytest.raises(ValueError):
             SystemParams(g=1.0, gamma=-0.1)
-        with pytest.raises(ValueError):
-            SystemParams(g=1.0, n_max=0)
+        # the photon cutoff is not an input
+        with pytest.raises(TypeError):
+            SystemParams(g=1.0, n_max=2)
+
+    @pytest.mark.parametrize("field", ["g", "delta", "gamma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        kw = {"g": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SystemParams(**kw)
 
     def test_dim(self):
-        assert SystemParams(g=1.0, n_max=2).dim == 12
+        p = SystemParams(g=1.0)
+        assert p.dim == 4
+        assert p.n_max == 1
 
 
 class TestHamiltonian:
     def test_coupling_matrix_element(self):
         p = SystemParams(g=0.7, delta=0.3)
         h = hamiltonian(p)
-        # <0,e,g| H |1,g,g> = g
-        assert h[IDX_EG, 4 + IDX_GG] == pytest.approx(0.7)
+        # <0,e,g| H |1,g,g> = <0,g,e| H |1,g,g> = g; Delta on |0,eg>, |0,ge>
+        assert h[0, 3] == h[1, 3] == 0.7
+        assert h[0, 0] == h[1, 1] == 0.3
+        assert np.count_nonzero(h) == 6
 
     def test_exactly_hermitian(self):
-        p = SystemParams(g=1.0, delta=2.0, n_max=3)
+        p = SystemParams(g=1.0, delta=2.0)
         h = hamiltonian(p)
         assert np.abs(h - h.conj().T).max() == 0.0
 
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_block_of_full_space_hamiltonian(self, n_max):
+        p = SystemParams(g=0.7, delta=-1.3)
+        h = oracles.full_hamiltonian(p, n_max)
+        idx = oracles.block_indices(n_max)
+        assert np.array_equal(h[np.ix_(idx, idx)], hamiltonian(p))
+        # H has no matrix element out of the block
+        rest = np.setdiff1d(np.arange(len(h)), idx)
+        assert not h[np.ix_(rest, idx)].any()
+
     def test_commutes_with_excitation_number(self):
+        # the full-space H conserves N, so the one-excitation block is closed
         for delta in [0.0, 0.5, 5.0]:
-            p = SystemParams(g=1.0, delta=delta, n_max=2)
-            h = hamiltonian(p)
-            n = excitation_number(p)
+            p = SystemParams(g=1.0, delta=delta)
+            h = oracles.full_hamiltonian(p, 2)
+            n = oracles.excitation_number(2)
             assert np.abs(h @ n - n @ h).max() <= 1e-12 * p.g
 
 
 class TestInitialState:
     def test_pure_excited(self):
         rho = initial_state(SystemParams(g=1.0, lambda_=1.0))
-        expected = np.zeros((8, 8))
-        expected[IDX_EG, IDX_EG] = 1.0
+        expected = np.zeros((4, 4))
+        expected[B_EG, B_EG] = 1.0
         assert np.array_equal(rho, expected)
 
     def test_pure_ground(self):
         rho = initial_state(SystemParams(g=1.0, lambda_=0.0))
-        assert rho[IDX_GG, IDX_GG] == 1.0
+        assert rho[B_GG, B_GG] == 1.0
         assert rho.trace() == 1.0
 
     def test_half_mixture(self):
         rho = initial_state(SystemParams(g=1.0, lambda_=0.5))
         diag = np.diag(rho).real
-        assert diag[IDX_EG] == 0.5
-        assert diag[IDX_GG] == 0.5
+        assert diag[B_EG] == 0.5
+        assert diag[B_GG] == 0.5
         assert np.count_nonzero(rho) == 2
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_embeds_full_space_initial_state(self, n_max):
+        p = SystemParams(g=1.0, lambda_=0.3)
+        assert np.array_equal(
+            oracles.embed(initial_state(p), n_max), oracles.full_initial_state(p, n_max)
+        )
 
 
 class TestExcitationNumber:
     def test_diagonal_values(self):
-        p = SystemParams(g=1.0, n_max=1)
-        n = excitation_number(p)
+        n = oracles.excitation_number(1)
         assert np.abs(n - np.diag(np.diag(n))).max() == 0.0
         assert n[IDX_GG, IDX_GG] == 0.0          # |0,g,g>
         assert n[4 + IDX_EG, 4 + IDX_EG] == 2.0  # |1,e,g>
+        # on the block: one excitation everywhere but |0,gg>
+        idx = oracles.block_indices(1)
+        assert np.array_equal(np.diag(n)[idx], [1.0, 1.0, 0.0, 1.0])
 
     def test_initial_expectation_is_lambda(self):
         p = SystemParams(g=1.0, lambda_=0.3)
-        val = np.trace(excitation_number(p) @ initial_state(p)).real
+        val = np.trace(oracles.excitation_number(1) @ oracles.full_initial_state(p, 1)).real
         assert val == pytest.approx(0.3)
 
 
@@ -109,15 +143,15 @@ class TestTwoQubitState:
 
 
 def test_single_excitation_indices():
-    assert single_excitation_indices(1) == [1, 2, 3, 7]
+    assert oracles.block_indices(1) == [1, 2, 3, 7]
     with pytest.raises(ValueError):
-        single_excitation_indices(0)
+        oracles.block_indices(0)
 
 
 TIME_ENTRY_POINTS = [
     analytic.rho_s_matrices,
     analytic.rho_s_analytic,
-    analytic.rho_full_analytic,
+    oracles.rho_full_analytic,
     analytic.concurrence_closed,
     analytic.concurrence_dephased,
     analytic.sigma_zeta,

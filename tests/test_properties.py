@@ -27,7 +27,7 @@ times = st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8).map(np.array)
 @SETTINGS
 @given(p=params, gts=times)
 def test_closed_form_state_matches_spectral(p, gts):
-    spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts), p.n_max)
+    spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))
     assert np.abs(analytic.rho_s_matrices(p, gts) - spectral).max() < 1e-8
 
 

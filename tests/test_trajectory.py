@@ -58,6 +58,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="bell_max"):
             trajectory.sweep(params(delta=0.5), 10.0, 11)
 
+    def test_non_finite_raw_metric_raises(self):
+        # NaN fails every range comparison, so it is checked on its own
+        for bad in (np.nan, np.inf, -np.inf):
+            raw = {"concurrence": np.array([0.5, bad]), "purity": np.ones(2)}
+            with pytest.raises(ValueError, match="concurrence"):
+                trajectory._clip_to_ranges(raw)
+
     def test_rejects_bad_args(self):
         p = params()
         with pytest.raises(ValueError):
