@@ -8,4 +8,4 @@ the (linear entropy, concurrence) plane.
 
 __version__ = "0.1.0"
 
-from .model import SystemParams, TwoQubitState  # noqa: F401
+from .model import SystemParams  # noqa: F401

@@ -14,14 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (
-    BELL_MINUS,
-    BELL_PLUS,
-    IDX_GG,
-    SystemParams,
-    TwoQubitState,
-    check_times,
-)
+from .model import BELL_MINUS, BELL_PLUS, IDX_GG, SystemParams, check_times
 
 _GG = np.zeros(4, dtype=complex)
 _GG[IDX_GG] = 1.0
@@ -84,11 +77,6 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
         + c_cross[..., None, None] * _BP_BM
     )
     return x + np.swapaxes(x, -1, -2).conj()
-
-
-def rho_s_analytic(p: SystemParams, gt: float) -> TwoQubitState:
-    """Reduced two-atom state at scaled time gt, validated."""
-    return TwoQubitState(rho_s_matrices(p, float(gt)))
 
 
 def concurrence_closed(p: SystemParams, gt):

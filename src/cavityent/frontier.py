@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .metrics import linear_entropy_many, wootters_concurrence_many
-from .model import BELL_PLUS, IDX_EE, IDX_EG, IDX_GG, SystemParams
+from .model import SystemParams
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -49,18 +49,6 @@ class FrontierCurve:
             raise ValueError("linear entropy must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
-    def value_at(self, m) -> np.ndarray:
-        """Interpolation of the curve value at linear entropy m.
-
-        The Bell envelope is interpolated in squared value: both analytic
-        branches of the envelope have |B|^2 linear in M, so this is exact
-        between knots and avoids chord sag under the concave curve.
-        """
-        if self.kind == BELL_FRONTIER:
-            sq = np.interp(m, self.points[:, 0], self.points[:, 1] ** 2)
-            return np.sqrt(sq)
-        return np.interp(m, self.points[:, 0], self.points[:, 1])
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -79,15 +67,6 @@ class RationalityReport:
     classification: str = EFFECTIVELY_IRRATIONAL
 
 
-def werner_matrix(p_bell: float) -> np.ndarray:
-    """Werner state p |B+><B+| + (1-p) I/4."""
-    if not 0.0 <= p_bell <= 1.0:
-        raise ValueError("Werner parameter must be in [0, 1]")
-    return p_bell * np.outer(BELL_PLUS, BELL_PLUS.conj()) + (
-        1.0 - p_bell
-    ) / 4.0 * np.eye(4, dtype=complex)
-
-
 def werner_curve(n_points: int) -> FrontierCurve:
     """(M, C) curve of Werner states for p in [1/3, 1]."""
     if n_points < 2:
@@ -96,24 +75,6 @@ def werner_curve(n_points: int) -> FrontierCurve:
     m = 1.0 - p * p
     c = (3.0 * p - 1.0) / 2.0
     return FrontierCurve(WERNER, np.column_stack([m, c]))
-
-
-def mems_matrix(c: float) -> np.ndarray:
-    """Maximally entangled mixed state with concurrence c.
-
-    X-structured with corner coherence c/2 and corner populations
-    g(c) = c/2 for c >= 2/3 else 1/3.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError("concurrence must be in [0, 1]")
-    g = c / 2.0 if c >= 2.0 / 3.0 else 1.0 / 3.0
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[IDX_EE, IDX_EE] = g
-    rho[IDX_GG, IDX_GG] = g
-    rho[IDX_EG, IDX_EG] = 1.0 - 2.0 * g
-    rho[IDX_EE, IDX_GG] = c / 2.0
-    rho[IDX_GG, IDX_EE] = c / 2.0
-    return rho
 
 
 def mems_linear_entropy(c) -> np.ndarray:
@@ -154,13 +115,6 @@ def random_two_qubit_states(n: int, rng: np.random.Generator) -> np.ndarray:
     pure = vec[:, :, None] * vec.conj()[:, None, :]
     x = rng.uniform(0.0, 1.0, size=n)[:, None, None]
     return (1.0 - x) * pure + x * np.eye(4)[None] / 4.0
-
-
-def mems_excess(samples: np.ndarray) -> float:
-    """Max amount by which sampled states exceed the MEMS curve in (M, C)."""
-    m = linear_entropy_many(samples)
-    c = wootters_concurrence_many(samples)
-    return float((c - mems_concurrence_at(np.clip(m, 0.0, 8.0 / 9.0))).max())
 
 
 def mems_oracle_excess(

@@ -1,94 +1,26 @@
-"""Dense complex linear algebra for small operators.
+"""The input check shared by the state metrics.
 
-Everything downstream works with square numpy complex arrays of dimension
-<= 16 (two qubits plus a truncated cavity mode), so these wrappers favour
-strict validation over performance.
+Every metric takes one two-qubit density matrix or a stack of them and
+reads it through as_state_stack, so all of them accept and reject the
+same inputs.
 """
 from __future__ import annotations
 
-from math import prod
-from typing import Iterable, Sequence
-
 import numpy as np
 
-HERMITICITY_ATOL = 1e-10
 
+def as_state_stack(states) -> np.ndarray:
+    """A (4, 4) matrix or an (n, 4, 4) stack as a complex (n, 4, 4) stack.
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex array with finite entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, first-factor-index major."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` are the subsystem dimensions in tensor order; ``keep`` holds
-    the (zero-based) indices of subsystems retained in the output.
+    ValueError for any other shape and for NaN or infinite entries.
     """
-    rho = as_complex_matrix(rho)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError("subsystem dimensions must be positive")
-    if prod(dims) != rho.shape[0]:
+    m = np.asarray(states, dtype=complex)
+    if m.ndim == 2:
+        m = m[None]
+    if m.ndim != 3 or m.shape[-2:] != (4, 4):
         raise ValueError(
-            f"product of dims {dims} does not match matrix dim {rho.shape[0]}"
+            f"expected a (4, 4) matrix or an (n, 4, 4) stack, got shape {np.shape(states)}"
         )
-    keep = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-
-    row = list(range(n))
-    col = [i + n if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(rho.reshape(dims + dims), row + col, out)
-    d_keep = prod(dims[i] for i in keep)
-    return reduced.reshape(d_keep, d_keep)
-
-
-def herm_eig(h, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues sorted descending and the matching eigenvector
-    columns, so that h == V diag(w) V^dagger.
-    """
-    h = as_complex_matrix(h)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def eigvals_general_4x4(m) -> np.ndarray:
-    """Eigenvalues (unordered) of a general complex 4x4 matrix."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != 4:
-        raise ValueError(f"expected a 4x4 matrix, got dim {m.shape[0]}")
-    return np.linalg.eigvals(m)
+    if not np.isfinite(m).all():
+        raise ValueError("states contain non-finite entries")
+    return m

@@ -1,17 +1,23 @@
 """State functionals: concurrence, linear entropy, purity, CHSH violation.
 
+Each takes one 4x4 two-qubit density matrix or an (n, 4, 4) stack of them,
+checked by cavityent.linalg.as_state_stack, and returns one value per state.
+
 The Wootters eigenvalues lambda_i are computed as the singular values of
 K = L^T (sigma_y (x) sigma_y) L with rho = L L^dagger, which is algebraically
 identical to the square roots of the eigenvalues of rho*rho_tilde but avoids
-taking square roots of near-zero eigenvalues of a non-Hermitian product
-(worth ~6 decimal digits on nearly-singular states).
+taking square roots of near-zero eigenvalues of a non-Hermitian product.
+Measured against a 50-digit mpmath reference on near-pure and
+near-separable states (admixture weight 1e-4 to 1e-12), this route errs by
+at most 1.8e-15 and the eigenvalue route by up to 2.2e-8: about 7 decimal
+digits gained (tests/test_precision.py).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import eigvals_general_4x4
-from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, SPIN_FLIP, as_state_matrix
+from .linalg import as_state_stack
+from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, SPIN_FLIP
 
 _PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # stacked sigma_n (x) sigma_m, row-major in (n, m)
@@ -20,18 +26,9 @@ _PAULI_PAIRS = np.stack(
 )
 
 
-def _as_stack(states) -> tuple[np.ndarray, bool]:
-    m = np.asarray(states, dtype=complex)
-    if m.ndim == 2:
-        return m[None], True
-    if m.ndim != 3 or m.shape[-2:] != (4, 4):
-        raise ValueError(f"expected (n, 4, 4) stack, got shape {m.shape}")
-    return m, False
-
-
 def wootters_concurrence_many(states) -> np.ndarray:
-    """Wootters concurrence of a stack of 4x4 density matrices."""
-    rhos, _ = _as_stack(states)
+    """Wootters concurrence."""
+    rhos = as_state_stack(states)
     w, v = np.linalg.eigh(rhos)
     w = np.clip(w, 0.0, None)
     ell = v * np.sqrt(w)[..., None, :]
@@ -41,65 +38,25 @@ def wootters_concurrence_many(states) -> np.ndarray:
     return np.maximum(c, 0.0)
 
 
-def wootters_concurrence(state) -> float:
-    """Wootters concurrence of a single two-qubit state."""
-    return float(wootters_concurrence_many(as_state_matrix(state))[0])
-
-
-def wootters_concurrence_eigvals(state, clip: float = -1e-10) -> float:
-    """Concurrence via eigenvalues of rho * rho_tilde.
-
-    Independent route kept for cross-checks; tiny negative real parts above
-    ``clip`` are zeroed before the square roots.
-    """
-    rho = as_state_matrix(state)
-    rho_tilde = SPIN_FLIP @ rho.conj() @ SPIN_FLIP
-    ev = eigvals_general_4x4(rho @ rho_tilde).real
-    if ev.min() < clip:
-        raise ValueError(f"rho*rho_tilde eigenvalue {ev.min():.3e} below {clip}")
-    lam = np.sqrt(np.clip(ev, 0.0, None))
-    lam[::-1].sort()
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 def purity_many(states) -> np.ndarray:
-    rhos, _ = _as_stack(states)
+    """Tr rho^2."""
+    rhos = as_state_stack(states)
     return np.einsum("tab,tba->t", rhos, rhos).real
 
 
-def purity(state) -> float:
-    """Tr rho^2."""
-    return float(purity_many(as_state_matrix(state))[0])
-
-
 def linear_entropy_many(states) -> np.ndarray:
+    """M = (4/3)(1 - Tr rho^2)."""
     return 4.0 / 3.0 * (1.0 - purity_many(states))
 
 
-def linear_entropy(state) -> float:
-    """M = (4/3)(1 - Tr rho^2)."""
-    return float(linear_entropy_many(as_state_matrix(state))[0])
-
-
-def correlation_matrix(state) -> np.ndarray:
-    """3x3 real T with T[n, m] = Tr(rho sigma_n (x) sigma_m)."""
-    rho = as_state_matrix(state)
-    t = np.einsum("pij,ji->p", _PAULI_PAIRS, rho).real
-    return t.reshape(3, 3)
-
-
 def bell_max_many(states) -> np.ndarray:
-    """Maximal CHSH value 2*sqrt(k1 + k2) for a stack of states.
+    """Maximal CHSH value 2*sqrt(k1 + k2).
 
     k1, k2 are the two largest eigenvalues of T^T T, i.e. the squares of the
-    two largest singular values of T.
+    two largest singular values of the correlation matrix
+    T[n, m] = Tr(rho sigma_n (x) sigma_m).
     """
-    rhos, _ = _as_stack(states)
+    rhos = as_state_stack(states)
     t = np.einsum("pij,tji->tp", _PAULI_PAIRS, rhos).real.reshape(-1, 3, 3)
     s = np.linalg.svd(t, compute_uv=False)
     return 2.0 * np.sqrt(s[:, 0] ** 2 + s[:, 1] ** 2)
-
-
-def bell_max_general(state) -> float:
-    """Maximal CHSH value of a single two-qubit state."""
-    return float(bell_max_many(as_state_matrix(state))[0])

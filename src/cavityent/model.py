@@ -22,16 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, herm_eig
-
 # atomic pair indices
 IDX_EE, IDX_EG, IDX_GE, IDX_GG = 0, 1, 2, 3
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
-SIGMA_MINUS = SIGMA_PLUS.conj().T
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -49,7 +45,7 @@ class SystemParams:
     lambda_ initial excited population of atom 1, in [0, 1]
     gamma   phase decoherence rate (>= 0; units of time)
 
-    g, delta and gamma must be finite.
+    g, delta and gamma must be finite, and so must Omega^2 = Delta^2 + 8 g^2.
     """
 
     g: float
@@ -64,6 +60,12 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
+        # float products overflow to inf, where ** would raise OverflowError
+        delta, g = float(self.delta), float(self.g)
+        if not np.isfinite(delta * delta + 8.0 * g * g):
+            raise ValueError(
+                f"Omega^2 = Delta^2 + 8 g^2 overflows for delta = {self.delta}, g = {self.g}"
+            )
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
         if self.gamma < 0:
@@ -86,45 +88,12 @@ class SystemParams:
         return 1
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Validated 4x4 density matrix of the two atoms (atomic ordering)."""
-
-    matrix: np.ndarray
-
-    HERM_ATOL = 1e-10
-    TRACE_ATOL = 1e-10
-    EIG_FLOOR = -1e-9
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != 4:
-            raise ValueError(f"two-qubit state must be 4x4, got dim {m.shape[0]}")
-        dev = np.abs(m - m.conj().T).max()
-        if dev > self.HERM_ATOL:
-            raise ValueError(f"state not Hermitian (max deviation {dev:.3e})")
-        tr = m.trace()
-        if abs(tr - 1.0) > self.TRACE_ATOL:
-            raise ValueError(f"state trace {tr} deviates from 1")
-        wmin = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if wmin < self.EIG_FLOOR:
-            raise ValueError(f"state has negative eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-
 def check_times(gt) -> np.ndarray:
     """Scaled times gt as a float array; ValueError unless all finite and >= 0."""
     gt = np.asarray(gt, dtype=float)
     if not np.all(np.isfinite(gt) & (gt >= 0)):
         raise ValueError("times gt must be finite and nonnegative")
     return gt
-
-
-def as_state_matrix(state) -> np.ndarray:
-    """Accept a TwoQubitState or a raw 4x4 array; return the array."""
-    if isinstance(state, TwoQubitState):
-        return state.matrix
-    return as_complex_matrix(state)
 
 
 def hamiltonian(p: SystemParams) -> np.ndarray:
@@ -149,17 +118,12 @@ def initial_state(p: SystemParams) -> np.ndarray:
 
 __all__ = [
     "SystemParams",
-    "TwoQubitState",
-    "as_state_matrix",
     "check_times",
     "hamiltonian",
     "initial_state",
-    "herm_eig",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
     "BELL_PLUS",
     "BELL_MINUS",
     "SPIN_FLIP",

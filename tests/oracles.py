@@ -1,33 +1,95 @@
-"""Full-space reference for the block solvers.
+"""Independent references the tests compare the library against.
 
-The library evolves 4x4 states on the reachable block (|0,eg>, |0,ge>,
+Full-space reference for the block solvers. The library evolves 4x4 states on the reachable block (|0,eg>, |0,ge>,
 |0,gg>, |1,gg>) of cavityent.model. This module rebuilds the Kronecker
 atom-cavity space with an explicit photon cutoff n_max: dimension
 4 (n_max + 1), cavity-major |n> (x) |atom1> (x) |atom2>, with the atomic
 pair order of cavityent.model. Tests embed block states into it, compare
 them with full-space runs and check that no population leaves the block.
+
+Two-qubit references: the Werner and MEMS states, the eigenvalue route to
+the Wootters concurrence, the MEMS excess of sampled states and linear
+interpolation along a frontier curve.
+
+The references build on three small dense helpers: the Kronecker product
+tensor, the partial trace and the general 4x4 eigenvalue solver.
 """
+from math import prod
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from cavityent import evolution
+from cavityent.frontier import BELL_FRONTIER, mems_concurrence_at
+from cavityent.metrics import linear_entropy_many, wootters_concurrence_many
 from cavityent.model import (
     BELL_MINUS,
     BELL_PLUS,
+    IDX_EE,
     IDX_EG,
     IDX_GE,
     IDX_GG,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
+    SPIN_FLIP,
     SystemParams,
     check_times,
 )
+
+SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
+SIGMA_MINUS = SIGMA_PLUS.conj().T
 
 _I2 = np.eye(2, dtype=complex)
 _N_E = SIGMA_PLUS @ SIGMA_MINUS
 
 
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product, first-factor-index major."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Trace out all subsystems not listed in ``keep``.
+
+    ``rho`` is one square matrix or a stack (..., d, d). ``dims`` are the
+    subsystem dimensions in tensor order; ``keep`` holds the (zero-based)
+    indices of subsystems retained in the output.
+    """
+    rho = np.asarray(rho)
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise ValueError("subsystem dimensions must be positive")
+    d = prod(dims)
+    if rho.ndim < 2 or rho.shape[-2:] != (d, d):
+        raise ValueError(f"dims {dims} do not match matrix shape {rho.shape}")
+    keep = sorted(set(int(k) for k in keep))
+    n = len(dims)
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+
+    row = list(range(n))
+    col = [i + n if i in keep else i for i in range(n)]
+    out = keep + [i + n for i in keep]
+    batch = rho.shape[:-2]
+    reduced = np.einsum(
+        rho.reshape(batch + tuple(dims + dims)),
+        [Ellipsis] + row + col,
+        [Ellipsis] + out,
+    )
+    d_keep = prod(dims[i] for i in keep)
+    return reduced.reshape(batch + (d_keep, d_keep))
+
+
+def eigvals_general_4x4(m) -> np.ndarray:
+    """Eigenvalues (unordered) of a general complex 4x4 matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return np.linalg.eigvals(m)
+
+
 def _three_kron(c, a1, a2) -> np.ndarray:
-    return np.kron(c, np.kron(a1, a2))
+    return tensor(c, tensor(a1, a2))
 
 
 def destroy(n_levels: int) -> np.ndarray:
@@ -104,10 +166,7 @@ def full_rk4(p: SystemParams, gt: float, n_max: int, dt: float) -> np.ndarray:
 
 def cavity_trace(states, n_max: int) -> np.ndarray:
     """Two-atom states from full-space states (..., dim, dim)."""
-    states = np.asarray(states)
-    nc = n_max + 1
-    shaped = states.reshape(states.shape[:-2] + (nc, 4, nc, 4))
-    return np.einsum("...nanb->...ab", shaped)
+    return partial_trace(states, [n_max + 1, 4], {1})
 
 
 def leakage(states, n_max: int) -> float:
@@ -163,3 +222,66 @@ def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
     x += c_cross * np.kron(p00, np.outer(BELL_PLUS, BELL_MINUS.conj()))
     x += (1.0 - lam) / 2.0 * np.kron(p00, proj_gg)
     return x + x.conj().T
+
+
+def werner_matrix(p_bell: float) -> np.ndarray:
+    """Werner state p |B+><B+| + (1-p) I/4."""
+    if not 0.0 <= p_bell <= 1.0:
+        raise ValueError("Werner parameter must be in [0, 1]")
+    return p_bell * np.outer(BELL_PLUS, BELL_PLUS.conj()) + (
+        1.0 - p_bell
+    ) / 4.0 * np.eye(4, dtype=complex)
+
+
+def mems_matrix(c: float) -> np.ndarray:
+    """Maximally entangled mixed state with concurrence c.
+
+    X-structured with corner coherence c/2 and corner populations
+    g(c) = c/2 for c >= 2/3 else 1/3.
+    """
+    if not 0.0 <= c <= 1.0:
+        raise ValueError("concurrence must be in [0, 1]")
+    g = c / 2.0 if c >= 2.0 / 3.0 else 1.0 / 3.0
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[IDX_EE, IDX_EE] = g
+    rho[IDX_GG, IDX_GG] = g
+    rho[IDX_EG, IDX_EG] = 1.0 - 2.0 * g
+    rho[IDX_EE, IDX_GG] = c / 2.0
+    rho[IDX_GG, IDX_EE] = c / 2.0
+    return rho
+
+
+def mems_excess(samples: np.ndarray) -> float:
+    """Max amount by which sampled states exceed the MEMS curve in (M, C)."""
+    m = linear_entropy_many(samples)
+    c = wootters_concurrence_many(samples)
+    return float((c - mems_concurrence_at(np.clip(m, 0.0, 8.0 / 9.0))).max())
+
+
+def wootters_concurrence_eigvals(state, clip: float = -1e-10) -> float:
+    """Concurrence via the eigenvalues of rho * rho_tilde.
+
+    Independent of the singular-value route of the library; tiny negative
+    real parts above ``clip`` are zeroed before the square roots.
+    """
+    rho = np.asarray(state, dtype=complex)
+    rho_tilde = SPIN_FLIP @ rho.conj() @ SPIN_FLIP
+    ev = eigvals_general_4x4(rho @ rho_tilde).real
+    if ev.min() < clip:
+        raise ValueError(f"rho*rho_tilde eigenvalue {ev.min():.3e} below {clip}")
+    lam = np.sqrt(np.clip(ev, 0.0, None))
+    lam[::-1].sort()
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def curve_value_at(curve, m) -> np.ndarray:
+    """Interpolation of a FrontierCurve's value at linear entropy m.
+
+    The Bell envelope is interpolated in squared value: both analytic
+    branches of the envelope have |B|^2 linear in M, so this is exact
+    between knots and avoids chord sag under the concave curve.
+    """
+    if curve.kind == BELL_FRONTIER:
+        sq = np.interp(m, curve.points[:, 0], curve.points[:, 1] ** 2)
+        return np.sqrt(sq)
+    return np.interp(m, curve.points[:, 0], curve.points[:, 1])

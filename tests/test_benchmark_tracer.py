@@ -1,0 +1,71 @@
+"""The benchmark's span tracer still fits the library.
+
+perfbench/tracer.py wraps the public functions of the cavityent modules it
+names and counts work in the functions listed in its COUNTERS. A library
+change that removes a traced module or a counted function, or changes a
+counted signature, breaks a traced benchmark run; this test makes it fail
+here instead.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import importlib, json, sys, types
+import tracer
+import cavityent.cli
+
+t = tracer.Tracer()
+t.install()
+code = cavityent.cli.main(["frontier", "--kind", "mems", "--n-points", "3",
+                           "--no-timestamp", "-o", sys.argv[1]])
+cli_spans = len(t.spans)
+
+from cavityent import analytic, evolution, frontier, metrics, trajectory
+from cavityent.model import SystemParams
+
+# one small call of every counted function, through the traced names
+p = SystemParams(g=1.0, delta=0.5, lambda_=0.7, gamma=0.01)
+states = analytic.rho_s_matrices(p, [0.0, 1.0])
+evolution.evolve_spectral_grid(p, [0.0, 1.0])
+evolution.evolve_rk4(p, 0.1)
+traj = trajectory.sweep(p, 1.0, 3)
+metrics.wootters_concurrence_many(states)
+metrics.bell_max_many(states)
+trajectory.min_mems_distance(traj)
+trajectory.mirror_symmetry_check(traj, frontier.mems_curve(5))
+
+missing = []
+for name in tracer.COUNTERS:
+    short, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"cavityent.{short}"), attr, None)
+    if not isinstance(fn, types.FunctionType):
+        missing.append(name)
+counted = sorted({s[0] for s in t.spans if s[4]})
+print(json.dumps({"code": code, "spans": cli_spans, "missing": missing,
+                  "counters": sorted(tracer.COUNTERS), "counted": counted,
+                  "metrics": sorted(tracer.aggregate(t.spans))}))
+"""
+
+
+def test_tracer_installs_and_counts(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    out = tmp_path / "mems.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert out.read_text().count("\n") > 3
+    assert result["spans"] > 0
+    # every counter names a function that still exists, and each one fired
+    assert result["missing"] == []
+    assert result["counted"] == result["counters"]
+    assert "frontier.mems_curve.calls" in result["metrics"]

@@ -63,7 +63,7 @@ class TestEvolve:
               "-o", str(out)])
         assert "generated" not in out.read_text()
 
-    def test_invalid_params_exit_2(self):
+    def test_invalid_params_exit_2(self, capsys):
         assert main(["evolve", "--lambda", "1.5"]) == 2
         assert main(["evolve", "--gt-max", "-3"]) == 2
         assert main(["evolve", "--gamma", "-0.1"]) == 2
@@ -71,6 +71,13 @@ class TestEvolve:
         for flag in ("--delta", "--gamma"):
             for bad in ("nan", "inf"):
                 assert main(["evolve", flag, bad]) == 2
+        # finite, but Omega^2 = Delta^2 + 8 g^2 overflows
+        capsys.readouterr()
+        for argv in (["evolve", "--source", "analytic", "--delta", "1e200"],
+                     ["evolve", "--source", "spectral", "--delta", "1e200"],
+                     ["recurrences", "--delta", "1e200"]):
+            assert main(argv) == 2
+            assert "error: Omega^2" in capsys.readouterr().err
 
     def test_photon_cutoff_is_not_an_input(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -63,13 +63,13 @@ class TestSpectral:
 
 class TestRK4:
     def test_resonant_concurrence(self):
-        from cavityent.metrics import wootters_concurrence
+        from cavityent.metrics import wootters_concurrence_many
         p = params(delta=0.0)
         for gt in [0.5, 1.5, 3.0]:
             rho = evolution.evolve_rk4(p, gt, check_step=False)
             red = evolution.reduce_to_atoms(rho)
             expected = (1.0 - np.cos(p.omega * gt)) / 4.0
-            assert wootters_concurrence(red) == pytest.approx(expected, abs=1e-8)
+            assert wootters_concurrence_many(red)[0] == pytest.approx(expected, abs=1e-8)
 
     def test_commuting_state_is_stationary(self):
         # a mixture of H eigenprojectors commutes with H: rho stays put

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import oracles
 from cavityent import frontier, metrics
 from cavityent.model import SystemParams
 
@@ -51,6 +52,41 @@ def envelope_excess_search(build, starts, m_target, maxfev):
     return worst
 
 
+def project_to_states(h):
+    """Nearest positive, trace-one matrices to Hermitian h (..., 4, 4):
+    negative eigenvalues are set to zero, then the trace is scaled to 1."""
+    w, v = np.linalg.eigh(h)
+    rho = (v * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def mems_x_states(rng, n_c=1001, scales=(1e-2, 1e-3, 1e-5, 1e-7), repeats=3):
+    """X-states around the MEMS family: the |ee>, |eg> and |gg> populations
+    and the |ee><gg| coherence of oracles.mems_matrix(c) perturbed, |ge>
+    left empty (so the rank is at most 3), projected back onto states."""
+    base = np.stack([oracles.mems_matrix(c) for c in np.linspace(0.0, 1.0, n_c)])
+    out = []
+    for scale in scales:
+        for _ in range(repeats):
+            h = base.copy()
+            for i in (0, 1, 3):
+                h[:, i, i] += scale * rng.standard_normal(n_c)
+            dz = scale * (rng.standard_normal(n_c) + 1j * rng.standard_normal(n_c))
+            h[:, 0, 3] += dz
+            h[:, 3, 0] += dz.conj()
+            out.append(project_to_states(h))
+    return np.concatenate(out)
+
+
+def hilbert_schmidt_states(n, rng, k=4):
+    """G G^dagger / Tr with G a 4 x k complex Ginibre matrix: the
+    Hilbert-Schmidt measure for k = 4, the induced measure of rank k below
+    (Zyczkowski & Sommers, J. Phys. A 34, 7111 (2001))."""
+    g = rng.standard_normal((n, 4, k)) + 1j * rng.standard_normal((n, 4, k))
+    rho = g @ np.swapaxes(g, -1, -2).conj()
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
 class TestFrontierCurve:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,17 +96,17 @@ class TestFrontierCurve:
 
     def test_linear_interpolation(self):
         curve = frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert curve.value_at(0.25) == pytest.approx(0.75)
+        assert oracles.curve_value_at(curve, 0.25) == pytest.approx(0.75)
 
     def test_bell_kind_interpolates_squared_value(self):
         pts = np.array([[0.0, 2.0], [1.0, 1.0]])
         curve = frontier.FrontierCurve(frontier.BELL_FRONTIER, pts)
-        assert curve.value_at(0.5) == pytest.approx(np.sqrt((4.0 + 1.0) / 2.0))
+        assert oracles.curve_value_at(curve, 0.5) == pytest.approx(np.sqrt((4.0 + 1.0) / 2.0))
 
 
 class TestWerner:
     def test_matrix_properties(self):
-        rho = frontier.werner_matrix(0.5)
+        rho = oracles.werner_matrix(0.5)
         assert abs(rho.trace() - 1.0) < 1e-14
         assert np.linalg.eigvalsh(rho).min() >= 0.0
 
@@ -81,15 +117,15 @@ class TestWerner:
 
     def test_curve_matches_state_functionals(self):
         for p in [0.4, 0.7, 1.0]:
-            rho = frontier.werner_matrix(p)
-            m = metrics.linear_entropy(rho)
-            c = metrics.wootters_concurrence(rho)
+            rho = oracles.werner_matrix(p)
+            m = metrics.linear_entropy_many(rho)[0]
+            c = metrics.wootters_concurrence_many(rho)[0]
             curve = frontier.werner_curve(2001)
-            assert curve.value_at(m) == pytest.approx(c, abs=1e-6)
+            assert oracles.curve_value_at(curve, m) == pytest.approx(c, abs=1e-6)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            frontier.werner_matrix(1.2)
+            oracles.werner_matrix(1.2)
         with pytest.raises(ValueError):
             frontier.werner_curve(1)
 
@@ -97,10 +133,10 @@ class TestWerner:
 class TestMems:
     def test_matrix_functionals_match_closed_forms(self):
         for c in [0.0, 0.3, 2.0 / 3.0, 0.8, 1.0]:
-            rho = frontier.mems_matrix(c)
+            rho = oracles.mems_matrix(c)
             assert abs(rho.trace() - 1.0) < 1e-14
-            assert metrics.wootters_concurrence(rho) == pytest.approx(c, abs=1e-12)
-            assert metrics.linear_entropy(rho) == pytest.approx(
+            assert metrics.wootters_concurrence_many(rho)[0] == pytest.approx(c, abs=1e-12)
+            assert metrics.linear_entropy_many(rho)[0] == pytest.approx(
                 float(frontier.mems_linear_entropy(c)), abs=1e-12
             )
 
@@ -125,7 +161,25 @@ class TestMems:
     def test_dominates_random_samples(self):
         rng = np.random.default_rng(17)
         states = frontier.random_two_qubit_states(20_000, rng)
-        assert frontier.mems_excess(states) <= 1e-12
+        assert oracles.mems_excess(states) <= 1e-12
+
+    def test_audit_with_samplers_that_reach_the_frontier(self):
+        rng = np.random.default_rng(7111)
+        states = np.concatenate(
+            [mems_x_states(rng)]
+            + [hilbert_schmidt_states(20_000, rng, k) for k in (2, 3, 4)]
+        )
+        m = metrics.linear_entropy_many(states)
+        c = metrics.wootters_concurrence_many(states)
+        gap = frontier.mems_concurrence_at(np.clip(m, 0.0, 8.0 / 9.0)) - c
+        # no state lies above the frontier
+        assert gap.min() >= -1e-12
+        # and the audit is not vacuous: some state comes close on each branch,
+        # the lower one taken where the frontier concurrence is above 1/3
+        upper = m < 16.0 / 27.0
+        lower = (m > 16.0 / 27.0) & (m < 0.8)
+        assert gap[upper].min() < 1e-3
+        assert gap[lower].min() < 1e-3
 
     def test_oracle_excess_small(self):
         assert frontier.mems_oracle_excess(20_000, seed=3, refine=8) <= 1e-3
@@ -149,7 +203,7 @@ class TestBellFrontier:
         states = frontier.random_two_qubit_states(50_000, rng)
         m = metrics.linear_entropy_many(states)
         b = metrics.bell_max_many(states)
-        excess = b - curve.value_at(m)
+        excess = b - oracles.curve_value_at(curve, m)
         assert excess.max() <= 1e-6
 
     def test_envelope_monotone_and_bounded(self):

@@ -1,25 +1,13 @@
 import numpy as np
 import pytest
 
-from cavityent.linalg import (
-    adjoint,
-    as_complex_matrix,
-    eigvals_general_4x4,
-    herm_eig,
-    matmul,
-    partial_trace,
-    tensor,
-)
-from cavityent.model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from cavityent.linalg import as_state_stack
+from cavityent.model import SIGMA_Z
+from oracles import eigvals_general_4x4, partial_trace, tensor
 
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_hermitian(rng, n):
-    m = random_complex(rng, n)
-    return (m + m.conj().T) / 2
 
 
 def random_density(rng, n):
@@ -28,43 +16,28 @@ def random_density(rng, n):
     return rho / rho.trace()
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        x = random_complex(rng, 2)
-        assert np.allclose(matmul(np.eye(2), x), x)
-
-    def test_pauli_involution(self):
-        assert np.allclose(matmul(SIGMA_X, SIGMA_X), np.eye(2))
-
-    def test_sx_sy_is_i_sz(self):
-        # hand multiplication: [[0,1],[1,0]] @ [[0,-i],[i,0]] = [[i,0],[0,-i]]
-        assert np.allclose(matmul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
-
-    def test_associative(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a, b, c = (random_complex(rng, 4) for _ in range(3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+def test_single_matrix_becomes_a_stack_of_one():
+    rho = np.eye(4) / 4
+    out = as_state_stack(rho)
+    assert out.shape == (1, 4, 4)
+    assert out.dtype == complex
+    assert np.array_equal(out[0], rho)
 
 
-class TestAdjoint:
-    def test_hermitian_fixed_point(self):
-        h = random_hermitian(np.random.default_rng(3), 4)
-        assert np.allclose(adjoint(h), h)
+def test_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_state_stack(rho)
+        stack = np.stack([np.eye(4, dtype=complex) / 4, rho])
+        with pytest.raises(ValueError, match="non-finite"):
+            as_state_stack(stack)
 
-    def test_conjugates(self):
-        assert np.allclose(adjoint(np.diag([1j, 0])), np.diag([-1j, 0]))
 
-    def test_involution(self):
-        a = random_complex(np.random.default_rng(4), 5)
-        assert np.array_equal(adjoint(adjoint(a)), a)
+# The dense helpers of the test references (tests/oracles.py): the full-space
+# Kronecker builds, the cavity trace and the eigenvalue route to the
+# concurrence rest on them.
 
 
 class TestTensor:
@@ -122,32 +95,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, [2, 2], {5})
 
-
-class TestHermEig:
-    def test_diagonal(self):
-        w, _ = herm_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3, 2, 1])
-
-    def test_sigma_x(self):
-        w, _ = herm_eig(SIGMA_X)
-        assert np.allclose(w, [1, -1])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(9)
-        h = random_hermitian(rng, 8)
-        w, v = herm_eig(h)
-        assert np.abs(h - (v * w) @ v.conj().T).max() <= 1e-10 * 8
-
-    def test_eigenvalue_sum_is_trace(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            h = random_hermitian(rng, 6)
-            w, _ = herm_eig(h)
-            assert abs(w.sum() - h.trace().real) <= 1e-10 * 6
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_density(rng, 6) for _ in range(3)])
+        out = partial_trace(stack, [3, 2], {1})
+        assert out.shape == (3, 2, 2)
+        for rho, red in zip(stack, out):
+            assert np.array_equal(red, partial_trace(rho, [3, 2], {1}))
 
 
 class TestEigvalsGeneral:
@@ -178,10 +132,3 @@ class TestEigvalsGeneral:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValueError):
             eigvals_general_4x4(np.eye(3))
-
-
-def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[np.inf, 0], [0, 1]]))

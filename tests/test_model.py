@@ -7,7 +7,6 @@ from cavityent.model import (
     IDX_EG,
     IDX_GG,
     SystemParams,
-    TwoQubitState,
     check_times,
     hamiltonian,
     initial_state,
@@ -39,6 +38,22 @@ class TestSystemParams:
         kw = {"g": 1.0, field: bad}
         with pytest.raises(ValueError, match=field):
             SystemParams(**kw)
+
+    @pytest.mark.parametrize("field", ["g", "delta"])
+    @pytest.mark.parametrize("big", [1e200, 1e155, np.finfo(float).max])
+    def test_rejects_overflowing_rabi_frequency(self, field, big):
+        # finite g and delta whose Omega^2 = Delta^2 + 8 g^2 is not a finite float
+        kw = {"g": 1.0, field: big}
+        with pytest.raises(ValueError, match="Omega"):
+            SystemParams(**kw)
+        if field == "delta":
+            with pytest.raises(ValueError, match="Omega"):
+                SystemParams(g=1.0, delta=-big)
+
+    def test_largest_finite_rabi_frequency_is_accepted(self):
+        p = SystemParams(g=1.0, delta=1e150)
+        assert p.omega == pytest.approx(1e150)
+        assert SystemParams(g=1e150).omega == pytest.approx(np.sqrt(8.0) * 1e150)
 
     def test_dim(self):
         p = SystemParams(g=1.0)
@@ -122,26 +137,6 @@ class TestExcitationNumber:
         assert val == pytest.approx(0.3)
 
 
-class TestTwoQubitState:
-    def test_accepts_valid(self):
-        rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        TwoQubitState(rho)
-
-    def test_rejects_non_hermitian(self):
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        rho[0, 1] = 0.1
-        with pytest.raises(ValueError):
-            TwoQubitState(rho)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            TwoQubitState(np.eye(4, dtype=complex))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TwoQubitState(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
-
-
 def test_single_excitation_indices():
     assert oracles.block_indices(1) == [1, 2, 3, 7]
     with pytest.raises(ValueError):
@@ -150,7 +145,6 @@ def test_single_excitation_indices():
 
 TIME_ENTRY_POINTS = [
     analytic.rho_s_matrices,
-    analytic.rho_s_analytic,
     oracles.rho_full_analytic,
     analytic.concurrence_closed,
     analytic.concurrence_dephased,
