@@ -5,21 +5,22 @@
 States are 4x4 matrices on the reachable block (|0,eg>, |0,ge>, |0,gg>,
 |1,gg>) of cavityent.model. H is time independent, so the exact solution
 is spectral: in the H eigenbasis, rho_mn(t) = rho_mn(0) exp(-i w_mn t -
-(gamma/2) w_mn^2 t) with w_mn = E_m - E_n. A fixed-step RK4 integrator of
-the right-hand side is kept as an independent cross-check with a different
-failure mode. reduce_to_atoms traces out the cavity.
+(gamma/2) w_mn^2 t) with w_mn = E_m - E_n. A fixed-step RK4 integrator is
+kept as an independent cross-check with a different failure mode: it needs
+no eigendecomposition. The right-hand side is one 16x16 matrix L on
+vec(rho), so n RK4 steps of length h are the n-th power of RK4's stability
+polynomial at hL. The default step is 0.005 over L's spectral radius.
+reduce_to_atoms traces out the cavity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import wootters_concurrence_many
 from .model import IDX_GG, SystemParams, check_times, hamiltonian, initial_state
-
-# default unscaled RK4 step, in units of 1/Omega
-_STEP_OMEGA = 0.005
 
 
 class StepSizeError(RuntimeError):
@@ -38,15 +39,10 @@ class EvolutionResult:
     states: np.ndarray
 
 
-def _eigensystem(p: SystemParams):
-    w, v = np.linalg.eigh(hamiltonian(p))
-    return w, v
-
-
 def evolve_spectral_grid(p: SystemParams, gts) -> np.ndarray:
     """Block states at each scaled time, shape (n, 4, 4)."""
     gts = np.atleast_1d(check_times(gts))
-    w, v = _eigensystem(p)
+    w, v = np.linalg.eigh(hamiltonian(p))
     rho0 = v.conj().T @ initial_state(p) @ v
     omega_mn = w[:, None] - w[None, :]
     t = gts / p.g
@@ -86,12 +82,43 @@ def evolve_grid(p: SystemParams, gts) -> EvolutionResult:
     return EvolutionResult(times=gts, states=evolve_spectral_grid(p, gts))
 
 
-def _rhs(h: np.ndarray, gamma: float, rho: np.ndarray) -> np.ndarray:
-    comm = h @ rho - rho @ h
-    out = -1j * comm
-    if gamma:
-        out = out - gamma / 2.0 * (h @ comm - comm @ h)
-    return out
+def _rk4_propagator(p: SystemParams, t: float, n_steps: int) -> np.ndarray:
+    """n_steps RK4 steps of length t / n_steps, as one 16x16 matrix on the
+    row-major vec(rho).
+
+    The right-hand side is vec' = L vec with L = -i C - (gamma/2) C^2 and
+    C = H (x) I - I (x) H^T. On a linear right-hand side one RK4 step is its
+    stability polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 at z = step * L.
+    """
+    h, i4 = hamiltonian(p), np.eye(4)
+    c = np.kron(h, i4) - np.kron(i4, h.T)
+    z = t / n_steps * (-1j * c - p.gamma / 2.0 * (c @ c))
+    eye = np.eye(16)
+    step = eye + z @ (eye + z / 2.0 @ (eye + z / 3.0 @ (eye + z / 4.0)))
+    return np.linalg.matrix_power(step, n_steps)
+
+
+def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.ndarray:
+    """RK4 block states carried from t = 0 over each interval between
+    nondecreasing scaled times in refine * ceil(interval / dt) equal steps;
+    equal intervals share one propagator. dt defaults to evolve_rk4_grid's.
+    """
+    if dt is None:
+        dt = 0.005 / (p.omega * math.hypot(1.0, p.gamma * p.omega / 2.0))
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    gts = np.atleast_1d(check_times(gts))
+    if np.any(np.diff(gts) < 0):
+        raise ValueError("times must be nondecreasing")
+    vec = initial_state(p).reshape(16)
+    states = np.empty((len(gts), 16), dtype=complex)
+    propagators = {}
+    for i, t in enumerate(np.diff(gts, prepend=0.0) / p.g):
+        if t not in propagators:
+            n_steps = refine * max(1, math.ceil(t / dt))
+            propagators[t] = _rk4_propagator(p, t, n_steps)
+        states[i] = vec = propagators[t] @ vec
+    return states.reshape(-1, 4, 4)
 
 
 def evolve_rk4(
@@ -102,19 +129,15 @@ def evolve_rk4(
 ) -> np.ndarray:
     """Fixed-step RK4 integration of the master equation up to scaled time gt.
 
-    dt is the unscaled step (default 0.005/Omega). With check_step the run
-    is repeated at dt/2 and a discrepancy above 1e-4 raises StepSizeError.
+    dt is the unscaled step; the default is evolve_rk4_grid's, 0.005 over
+    the Liouvillian's spectral radius. The run takes n = ceil(gt / (g dt))
+    equal steps as one power of the one-step propagator that
+    evolve_rk4_grid uses. With check_step it is repeated with exactly 2n
+    steps, and a discrepancy above 1e-4 raises StepSizeError.
     """
-    gt = check_times(gt)
-    if dt is None:
-        dt = _STEP_OMEGA / p.omega
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h = hamiltonian(p)
-    rho = _rk4_run(h, p.gamma, initial_state(p), gt / p.g, dt)
+    rho = _rk4_grid(p, gt, dt)[0]
     if check_step:
-        rho_half = _rk4_run(h, p.gamma, initial_state(p), gt / p.g, dt / 2.0)
-        disc = np.abs(rho - rho_half).max()
+        disc = np.abs(rho - _rk4_grid(p, gt, dt, refine=2)[0]).max()
         if disc > 1e-4:
             raise StepSizeError(
                 f"step-halving discrepancy {disc:.3e} > 1e-4; reduce dt"
@@ -126,37 +149,13 @@ def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
     """RK4 block states at nondecreasing scaled times, shape (n, 4, 4).
 
     Each interval between grid points is integrated from the state at the
-    previous point with the default step 0.005/Omega (no step-halving
-    check), so the cost is linear in the grid length.
+    previous point (no step-halving check). The unscaled step is 0.005 over
+    the Liouvillian's spectral radius Omega sqrt(1 + (gamma Omega / 2)^2),
+    which keeps stiff dephasing inside RK4's stability region and is
+    0.005/Omega without dephasing. The steps are one propagator raised to
+    the step count, so the cost grows with the logarithm of that count.
     """
-    gts = np.atleast_1d(check_times(gts))
-    if np.any(np.diff(gts) < 0):
-        raise ValueError("times must be nondecreasing")
-    h = hamiltonian(p)
-    dt = _STEP_OMEGA / p.omega
-    rho = initial_state(p)
-    states = np.empty((len(gts), *rho.shape), dtype=complex)
-    prev = 0.0
-    for i, gt in enumerate(gts):
-        rho = _rk4_run(h, p.gamma, rho, (gt - prev) / p.g, dt)
-        states[i] = rho
-        prev = gt
-    return states
-
-
-def _rk4_run(h, gamma, rho0, t_final, dt):
-    rho = rho0.astype(complex)
-    if t_final == 0:
-        return rho
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    step = t_final / n_steps
-    for _ in range(n_steps):
-        k1 = _rhs(h, gamma, rho)
-        k2 = _rhs(h, gamma, rho + step / 2.0 * k1)
-        k3 = _rhs(h, gamma, rho + step / 2.0 * k2)
-        k4 = _rhs(h, gamma, rho + step * k3)
-        rho = rho + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
+    return _rk4_grid(p, gts, None)
 
 
 def dephased_concurrence_oracle(p: SystemParams, gt):

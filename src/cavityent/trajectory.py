@@ -5,7 +5,7 @@ on a uniform grid of scaled times from one of three sources:
 
   analytic  closed-form reduced states, concurrence and CHSH maximum
   spectral  exact spectral solution of the master equation, cavity-traced
-  rk4       fixed-step RK4 integration (slow; cross-check only)
+  rk4       fixed-step RK4 integration of the master equation (cross-check)
 
 The raw metrics must be finite and lie in their physical ranges within
 1e-9; they are then clipped into them.

@@ -79,6 +79,25 @@ class TestEvolve:
             assert main(argv) == 2
             assert "error: Omega^2" in capsys.readouterr().err
 
+    def test_rk4_under_stiff_dephasing(self, tmp_path):
+        argv = ["evolve", "--delta", "0.5", "--gamma", "1000", "--gt-max", "1",
+                "--n-steps", "3"]
+        rows = {}
+        for source in ("spectral", "rk4"):
+            out = tmp_path / f"{source}.csv"
+            assert main([*argv, "--source", source, "-o", str(out)]) == 0
+            rows[source] = read_csv(out)[2]
+        assert np.abs(rows["rk4"] - rows["spectral"]).max() < 1e-8
+
+    def test_rk4_large_detuning_finishes(self):
+        # a subprocess, so that a step count growing with Delta cannot hang the suite
+        out = subprocess.run(
+            [sys.executable, "-m", "cavityent.cli", "evolve", "--source", "rk4",
+             "--delta", "1e8", "--gt-max", "1", "--n-steps", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+
     def test_photon_cutoff_is_not_an_input(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_max = 2\n")

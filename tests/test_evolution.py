@@ -79,7 +79,8 @@ class TestRK4:
         probs = np.linspace(1, 2, len(w))
         probs /= probs.sum()
         rho0 = (v * probs) @ v.conj().T
-        rho = evolution._rk4_run(h, p.gamma, rho0, 5.0, 0.01)
+        prop = evolution._rk4_propagator(p, 5.0, 500)
+        rho = (prop @ rho0.reshape(16)).reshape(4, 4)
         assert np.abs(rho - rho0).max() < 1e-10
 
     def test_agrees_with_spectral(self):
@@ -112,13 +113,33 @@ class TestRK4:
         p = params(delta=0.5)
         with pytest.raises(evolution.StepSizeError):
             evolution.evolve_rk4(p, 10.0, dt=1.2 / p.omega)
+        # dt >= 2 gt: one step against two, never one step against one
+        p = params(delta=0.5, lambda_=0.7, gamma=0.01)
+        for dt in (2.0, 1e6):
+            with pytest.raises(evolution.StepSizeError):
+                evolution.evolve_rk4(p, 1.0, dt=dt)
 
     def test_rejects_bad_args(self):
         p = params()
         with pytest.raises(ValueError):
             evolution.evolve_rk4(p, -1.0)
-        with pytest.raises(ValueError):
-            evolution.evolve_rk4(p, 1.0, dt=0.0)
+        for dt in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                evolution.evolve_rk4(p, 1.0, dt=dt)
+
+    @pytest.mark.parametrize("gamma", [400.0, 1000.0])
+    def test_default_step_follows_stiff_dephasing(self, gamma):
+        p = params(delta=0.5, lambda_=0.7, gamma=gamma)
+        gts = [0.0, 0.5, 1.0]
+        got = evolution.evolve_rk4_grid(p, gts)
+        assert np.abs(got - evolution.evolve_spectral_grid(p, gts)).max() < 1e-8
+
+    def test_large_detuning_finishes(self):
+        # about 2e10 steps of 0.005/Omega: log2 of that many matrix products
+        p = params(delta=1e8)
+        gts = [0.0, 0.5, 1.0]
+        got = evolution.evolve_rk4_grid(p, gts)
+        assert np.abs(got - evolution.evolve_spectral_grid(p, gts)).max() < 1e-6
 
 
 SPACE_PARAMS = [
@@ -146,7 +167,8 @@ class TestFullSpaceOracle:
     def test_rk4_matches_full_space(self, n_max):
         for kw in SPACE_PARAMS:
             p = params(**kw)
-            dt = 0.005 / p.omega
+            # the library's default step: 0.005 over the Liouvillian's spectral radius
+            dt = 0.005 / (p.omega * np.hypot(1.0, p.gamma * p.omega / 2.0))
             block = evolution.evolve_rk4(p, 2.5, check_step=False)
             assert block.shape == (4, 4)
             full = oracles.full_rk4(p, 2.5, n_max, dt)

@@ -3,7 +3,9 @@
 Each example compares a closed form with an independent route: the
 cavity-traced spectral solution of the master equation, the Wootters
 concurrence and the correlation-matrix CHSH maximum of the closed-form
-state. The runs are derandomized, so every run checks the same examples.
+state. The RK4 solver is compared with the spectral one, with dephasing up
+to gamma = 1000. The runs are derandomized, so every run checks the same
+examples.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -52,3 +54,22 @@ def test_closed_form_concurrence_matches_wootters(p, gts):
 def test_closed_form_chsh_matches_correlation_matrix(p, gts):
     general = metrics.bell_max_many(analytic.rho_s_matrices(p, gts))
     assert np.abs(analytic.bell_max_closed(p, gts) - general).max() < 1e-10
+
+
+stiff_params = st.builds(
+    SystemParams,
+    g=st.just(1.0),
+    delta=st.floats(-5.0, 5.0),
+    lambda_=st.floats(0.0, 1.0),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+)
+sorted_times = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8).map(
+    lambda ts: np.array(sorted(ts))
+)
+
+
+@SETTINGS
+@given(p=stiff_params, gts=sorted_times)
+def test_rk4_matches_spectral(p, gts):
+    rk4 = evolution.evolve_rk4_grid(p, gts)
+    assert np.abs(rk4 - evolution.evolve_spectral_grid(p, gts)).max() < 1e-8
