@@ -71,15 +71,20 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: str, meta: dict, header: str, rows, timestamp: bool):
+def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: bool):
+    """Metadata lines, the header, then one line per row of the 2-D float array.
+
+    Each row is formatted whole with one ``%.12g`` format per column, which
+    prints exactly what ``_fmt`` prints for each value.
+    """
     lines = [f"# cavityent {__version__}"]
     for key, value in meta.items():
         lines.append(f"# {key} = {value}")
     if timestamp:
         lines.append(f"# generated = {datetime.now(timezone.utc).isoformat()}")
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    row_format = ",".join(["%.12g"] * rows.shape[1])
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -113,14 +118,10 @@ def _load_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         field, cast = _CONFIG_KEYS[key]
+        if field in values:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         values[field] = cast(value.strip())
     return values
-
-
-def _trajectory_rows(traj: trajectory.Trajectory):
-    return zip(
-        traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity
-    )
 
 
 def _run_sweep_to_csv(cfg: RunConfig, command: str):
@@ -135,7 +136,10 @@ def _run_sweep_to_csv(cfg: RunConfig, command: str):
         "n_steps": cfg.grid_points(),
         "source": cfg.source,
     }
-    _write_csv(cfg.output, meta, TRAJECTORY_HEADER, _trajectory_rows(traj), cfg.timestamp)
+    rows = np.column_stack(
+        [traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity]
+    )
+    _write_csv(cfg.output, meta, TRAJECTORY_HEADER, rows, cfg.timestamp)
 
 
 def cmd_evolve(args) -> int:
@@ -168,6 +172,9 @@ def cmd_figure(args) -> int:
             f"unknown figure tag {args.tag!r}; known: {sorted(FIGURE_PRESETS)}"
         )
     preset = FIGURE_PRESETS[args.tag]
+    # every curve first: a rejected --n-points then costs no sweep and
+    # leaves no partial bundle
+    curves = [_curve_for(kind, args.n_points) for kind in preset["curves"]]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = RunConfig(
@@ -179,15 +186,14 @@ def cmd_figure(args) -> int:
         timestamp=not args.no_timestamp,
     )
     _run_sweep_to_csv(cfg, f"figure {args.tag}")
-    for kind in preset["curves"]:
-        curve = _curve_for(kind, args.n_points)
+    for curve in curves:
         meta = {
             "command": f"figure {args.tag}",
-            "kind": kind,
+            "kind": curve.kind,
             "n_points": args.n_points,
         }
         _write_csv(
-            str(outdir / f"figure{args.tag}_{kind}.csv"),
+            str(outdir / f"figure{args.tag}_{curve.kind}.csv"),
             meta,
             FRONTIER_HEADER,
             curve.points,
@@ -219,7 +225,8 @@ def cmd_recurrences(args) -> int:
         "convergents": ";".join(f"{pq}/{q}" for pq, q in report.convergents[:12]),
     }
     _write_csv(
-        args.output, meta, RECURRENCE_HEADER, zip(k, gt_k, c_k), not args.no_timestamp
+        args.output, meta, RECURRENCE_HEADER, np.column_stack([k, gt_k, c_k]),
+        not args.no_timestamp,
     )
     return 0
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .metrics import linear_entropy_many, wootters_concurrence_many
 from .model import SystemParams
@@ -211,8 +210,8 @@ def _polyline_resample(points: np.ndarray, n: int = 4096) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def plane_tree(points) -> cKDTree:
-    """KD-tree over (n, 2) plane points, for nearest-neighbour queries.
+def plane_tree(points):
+    """scipy ``cKDTree`` over (n, 2) plane points, for nearest-neighbour queries.
 
     Built with compact_nodes=False and balanced_tree=False. A periodic
     trajectory (Delta/Omega rational) retraces one closed curve many times,
@@ -221,7 +220,13 @@ def plane_tree(points) -> cKDTree:
     and splits at medians, answered nearest-neighbour queries 3 to 80 times
     slower than this one (50 001-point sweeps at Delta = 0 and 1); on
     quasi-periodic sets both are about as fast.
+
+    scipy is imported here, at the first call, and not with the module: only
+    the plane analytics need it, so the CLI and everything else load numpy
+    alone.
     """
+    from scipy.spatial import cKDTree
+
     return cKDTree(points, compact_nodes=False, balanced_tree=False)
 
 

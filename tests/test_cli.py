@@ -1,10 +1,15 @@
+import contextlib
+import io
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavityent.cli import FIGURE_PRESETS, main
+from cavityent.cli import FIGURE_PRESETS, _write_csv, main
 from cavityent.frontier import bell_envelope_candidate
 
 
@@ -154,6 +159,13 @@ class TestEvolve:
         cfg.write_text("seed = 5\n")
         assert main(["evolve", "--config", str(cfg)]) == 2
 
+    def test_duplicate_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.5\ngt_max = 1\ndelta = 0.7\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: duplicate config key 'delta'" in err
+
 
 class TestFrontierCommand:
     def test_werner(self, tmp_path):
@@ -231,13 +243,81 @@ class TestFigure:
     def test_unknown_tag_exit_2(self, tmp_path):
         assert main(["figure", "9z", "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("tag", ["1a", "3a"])
+    def test_rejected_n_points_writes_nothing(self, tmp_path, tag):
+        assert main(["figure", tag, "--n-points", "1",
+                     "--output-dir", str(tmp_path / "bundle")]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+def _csv_data_lines(rows) -> list[str]:
+    """Data lines that _write_csv prints for a 2-D array."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_csv("-", {}, "h", np.array(rows, dtype=float), timestamp=False)
+    return buf.getvalue().splitlines()[2:]
+
+
+def _per_value_lines(rows) -> list[str]:
+    """The reference format: each value printed on its own with 12 digits."""
+    return [",".join(f"{float(x):.12g}" for x in row) for row in rows]
+
+
+def test_csv_row_format_matches_per_value_format():
+    rows = [
+        [0.0, -0.0, 5e-324, -5e-324],
+        [1e-300, -1e-300, 0.1 + 0.2, 1e16 + 1],
+        [2.0 * math.sqrt(2.0), -2.0 * math.sqrt(2.0), 1.0 / 3.0, 8.0 / 9.0],
+        [1.0, 100.0, 12345.0, 999999999999.0],
+        [1e12, 123456789012345.0, 2.0**53, 1e300],
+    ]
+    assert _csv_data_lines(rows) == _per_value_lines(rows)
+    assert _csv_data_lines([[2.0 * math.sqrt(2.0)]]) == ["2.82842712475"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    min_size=1, max_size=8,
+))
+def test_csv_row_format_property(rows):
+    assert _csv_data_lines(rows) == _per_value_lines(rows)
+
+
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+
 
 def test_import_leaves_out_scipy_optimize():
-    code = "import sys, cavityent.cli; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, cavityent.cli; {_LOADED_SCIPY}"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    runs = [
+        ["figure", "1a", "--output-dir", str(tmp_path)],
+        ["figure", "3a", "--output-dir", str(tmp_path)],
+        ["evolve", "--source", "spectral", "--gamma", "0.01", "--gt-max", "5",
+         "--n-steps", "51", "-o", str(tmp_path / "spectral.csv")],
+        ["evolve", "--source", "rk4", "--gamma", "0.01", "--gt-max", "5",
+         "--n-steps", "51", "-o", str(tmp_path / "rk4.csv")],
+        ["recurrences", "--delta", "0.5", "-o", str(tmp_path / "rec.csv")],
+        ["frontier", "--kind", "bell", "-o", str(tmp_path / "bell.csv")],
+    ]
+    code = (
+        "import sys\n"
+        "from cavityent.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        f"{_LOADED_SCIPY}\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_version(capsys):
