@@ -6,6 +6,10 @@ is interpreted as rho = X + X^dagger over the *entire* term list
 reading consistent with trace one and with the t = 0 atomic marginal, and
 it is cross-checked against the numeric evolution oracle in the tests.
 
+Reduced states, the concurrence in closed form (the tests' reference for
+the sweeps, which read their metrics off the states in
+cavityent.trajectory), the recurrence series and the stationary concurrence.
+
 All public time arguments are the dimensionless scaled time gt, finite and
 nonnegative; conversion to physical time happens exactly once at each
 function boundary.
@@ -109,32 +113,6 @@ def concurrence_dephased(p: SystemParams, gt):
     a, b = _ab_terms(p, check_times(gt), gamma=p.gamma)
     out = p.lambda_ * np.hypot(a, b)
     return out if out.ndim else float(out)
-
-
-def sigma_zeta(p: SystemParams, gt):
-    """Closed-form (sigma, zeta) entering the maximal CHSH violation.
-
-    The reduced state is an X-state with an empty |ee> level, so its
-    correlation matrix has the singular values 2|rho_eg,ge| (twice) and
-    |2 rho_gg - 1|: sigma = C^2 and zeta = (2 rho_gg - 1)^2, for every
-    lambda_ and gamma.
-    """
-    gt = check_times(gt)
-    a, b = _ab_terms(p, gt, gamma=p.gamma)
-    sig = p.lambda_**2 * (a * a + b * b)
-    _, _, c_gg, _ = _reduced_coeffs(p, gt)
-    zeta = (4.0 * c_gg - 1.0) ** 2
-    if sig.ndim:
-        return sig, zeta
-    return float(sig), float(zeta)
-
-
-def bell_max_closed(p: SystemParams, gt):
-    """Closed-form maximal CHSH value 2*sqrt(sigma + max(sigma, zeta)),
-    by the Horodecki criterion."""
-    sig, zeta = sigma_zeta(p, gt)
-    out = 2.0 * np.sqrt(sig + np.maximum(sig, zeta))
-    return out if np.ndim(out) else float(out)
 
 
 def recurrence_concurrences(p: SystemParams, k_max: int):

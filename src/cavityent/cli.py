@@ -67,6 +67,25 @@ class RunConfig:
         return 5001 if self.gt_max <= 50.0 else 50001
 
 
+# Largest row count of one output. The spectral sweep, the costliest per
+# row, peaks at 37.5 MiB of allocations per 50 001 rows, so a run at the cap
+# allocates about 750 MiB; the largest count in use is 50 001.
+MAX_ROWS = 10**6
+
+
+def _row_count(text: str) -> int:
+    """A row count no larger than MAX_ROWS: the type of --n-steps,
+    --n-points and --k-max and of the n_steps config key, so a huge count
+    exits 2 before any work or file write."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n > MAX_ROWS:
+        raise argparse.ArgumentTypeError(f"{n} rows exceed the limit of {MAX_ROWS}")
+    return n
+
+
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
@@ -99,7 +118,7 @@ _CONFIG_KEYS = {
     "lambda": ("lambda_", float),
     "gamma": ("gamma_times_g", float),
     "gt_max": ("gt_max", float),
-    "n_steps": ("n_steps", int),
+    "n_steps": ("n_steps", _row_count),
     "source": ("source", str),
 }
 
@@ -120,7 +139,10 @@ def _load_config_file(path: str) -> dict:
         field, cast = _CONFIG_KEYS[key]
         if field in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-        values[field] = cast(value.strip())
+        try:
+            values[field] = cast(value.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -263,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gamma", dest="gamma_times_g", type=float, metavar="GAMMA",
                     help="dephasing rate gamma*g")
     ev.add_argument("--gt-max", dest="gt_max", type=float)
-    ev.add_argument("--n-steps", dest="n_steps", type=int)
+    ev.add_argument("--n-steps", dest="n_steps", type=_row_count)
     ev.add_argument("--source", choices=trajectory.SOURCES)
     ev.add_argument("--config", default=None,
                     help="key=value config file; flags given on the command line win")
@@ -273,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="emit the CSV bundle for a paper figure")
     fig.add_argument("tag", help="figure tag, e.g. 1a, 2c, 3b, 4a")
     fig.add_argument("--output-dir", default=".", help="directory for the CSV bundle")
-    fig.add_argument("--n-points", type=int, default=257, help="curve sample count")
+    fig.add_argument("--n-points", type=_row_count, default=257, help="curve sample count")
     fig.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     fig.add_argument("--no-timestamp", action="store_true")
     fig.set_defaults(func=cmd_figure)
@@ -281,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     fr = sub.add_parser("frontier", help="emit a reference frontier curve")
     fr.add_argument("--kind", choices=(frontier.WERNER, frontier.MEMS_CM, frontier.BELL_FRONTIER),
                     required=True)
-    fr.add_argument("--n-points", type=int, default=257)
+    fr.add_argument("--n-points", type=_row_count, default=257)
     fr.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     add_common(fr)
     fr.set_defaults(func=cmd_frontier)
 
     rec = sub.add_parser("recurrences", help="pure-state recurrence series")
     rec.add_argument("--delta", type=float, default=0.0, help="detuning Delta/g")
-    rec.add_argument("--k-max", dest="k_max", type=int, default=100)
+    rec.add_argument("--k-max", dest="k_max", type=_row_count, default=100)
     rec.add_argument("--tol", type=float, default=1e-6,
                      help="rational-approximation tolerance for Delta/Omega")
     rec.add_argument("--q-max", dest="q_max", type=int, default=1000)

@@ -50,9 +50,16 @@ def evolve_spectral_grid(p: SystemParams, gts) -> np.ndarray:
     return v @ (rho0 * np.exp(expo)) @ v.conj().T
 
 
+def _single_time(gt):
+    """gt unchanged; ValueError unless it is one time, not an array of them."""
+    if np.ndim(gt):
+        raise ValueError(f"expected a single time gt, got shape {np.shape(gt)}")
+    return gt
+
+
 def evolve_spectral(p: SystemParams, gt: float) -> np.ndarray:
     """Block state at a single scaled time."""
-    return evolve_spectral_grid(p, [float(gt)])[0]
+    return evolve_spectral_grid(p, _single_time(gt))[0]
 
 
 def reduce_to_atoms(states: np.ndarray, n_max: int = 1) -> np.ndarray:
@@ -135,6 +142,7 @@ def evolve_rk4(
     evolve_rk4_grid uses. With check_step it is repeated with exactly 2n
     steps, and a discrepancy above 1e-4 raises StepSizeError.
     """
+    gt = _single_time(gt)
     rho = _rk4_grid(p, gt, dt)[0]
     if check_step:
         disc = np.abs(rho - _rk4_grid(p, gt, dt, refine=2)[0]).max()

@@ -89,6 +89,9 @@ def mems_linear_entropy(c) -> np.ndarray:
 def mems_concurrence_at(m) -> np.ndarray:
     """Frontier concurrence at linear entropy m (inverse of the MEMS curve)."""
     m = np.asarray(m, dtype=float)
+    # NaN fails both range comparisons, so it is rejected on its own
+    if not np.all(np.isfinite(m)):
+        raise ValueError("linear entropy must be finite")
     if np.any(m < -1e-12) or np.any(m > 8.0 / 9.0 + 1e-12):
         raise ValueError("linear entropy outside [0, 8/9]")
     m = np.clip(m, 0.0, 8.0 / 9.0)

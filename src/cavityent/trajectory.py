@@ -1,14 +1,15 @@
 """Time-grid sweeps producing metric trajectories.
 
-A sweep evaluates (concurrence, linear entropy, maximal CHSH value, purity)
-on a uniform grid of scaled times from one of three sources:
+A sweep takes the reduced two-atom states on a uniform grid of scaled times
+from one of three sources:
 
-  analytic  closed-form reduced states, concurrence and CHSH maximum
+  analytic  closed-form reduced states (analytic.rho_s_matrices)
   spectral  exact spectral solution of the master equation, cavity-traced
   rk4       fixed-step RK4 integration of the master equation (cross-check)
 
-The raw metrics must be finite and lie in their physical ranges within
-1e-9; they are then clipped into them.
+and reads (concurrence, linear entropy, maximal CHSH value, purity) off
+them the same way for every source. The raw metrics must be finite and lie
+in their physical ranges within 1e-9; they are then clipped into them.
 """
 from __future__ import annotations
 
@@ -29,7 +30,15 @@ from .model import SystemParams, check_times
 ANALYTIC = "analytic"
 SPECTRAL = "spectral"
 RK4 = "rk4"
-SOURCES = (ANALYTIC, SPECTRAL, RK4)
+
+# each source's (n, 4, 4) reduced states, with the solvers looked up at call
+# time so that a wrapper installed on the module attribute sees every call
+_REDUCED_STATES = {
+    ANALYTIC: lambda p, gts: analytic.rho_s_matrices(p, gts),
+    SPECTRAL: lambda p, gts: evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts)),
+    RK4: lambda p, gts: evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, gts)),
+}
+SOURCES = tuple(_REDUCED_STATES)
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,27 @@ def _clip_to_ranges(raw: dict) -> dict:
     return out
 
 
+def _x_state_readout(states: np.ndarray):
+    """Concurrence and maximal CHSH value of an (n, 4, 4) stack of X-states
+    with an empty |ee> level; ValueError if any entry but the diagonal and
+    the eg-ge coherence is nonzero.
+
+    Then C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
+    singular values C (twice) and |T_zz|, T_zz = rho_ee - rho_eg - rho_ge +
+    rho_gg, so the Horodecki criterion gives 2 sqrt(C^2 + max(C^2, T_zz^2)).
+    T_zz is taken from the whole diagonal, not as 2 rho_gg - 1, which
+    assumes trace one.
+    """
+    # |ee>, |eg>, |ge>, |gg> at indices 0..3; views, so the stack is not copied
+    off_x = (states[:, 0], states[:, :, 0], states[:, 1:3, 3], states[:, 3, 1:3])
+    if any(block.any() for block in off_x):
+        raise ValueError("reduced states are not X-states with an empty |ee> level")
+    conc = 2.0 * np.abs(states[:, 1, 2])
+    diag = np.diagonal(states, axis1=1, axis2=2).real
+    t_zz = diag[:, 0] - diag[:, 1] - diag[:, 2] + diag[:, 3]
+    return conc, 2.0 * np.sqrt(conc**2 + np.maximum(conc**2, t_zz**2))
+
+
 def sweep(
     p: SystemParams, gt_max: float, n_steps: int, source: str = ANALYTIC
 ) -> Trajectory:
@@ -87,21 +117,8 @@ def sweep(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     gts = np.linspace(0.0, gt_max, n_steps)
-
-    if source == ANALYTIC:
-        states = analytic.rho_s_matrices(p, gts)
-        conc = analytic.concurrence_dephased(p, gts)
-        bell = analytic.bell_max_closed(p, gts)
-    else:
-        evolve = (
-            evolution.evolve_spectral_grid
-            if source == SPECTRAL
-            else evolution.evolve_rk4_grid
-        )
-        states = evolution.reduce_to_atoms(evolve(p, gts))
-        conc = metrics.wootters_concurrence_many(states)
-        bell = metrics.bell_max_many(states)
-
+    states = _REDUCED_STATES[source](p, gts)
+    conc, bell = _x_state_readout(states)
     raw = {
         "concurrence": conc,
         "linear_entropy": metrics.linear_entropy_many(states),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cavityent import analytic
+from cavityent import analytic, trajectory
 from cavityent.model import (
     BELL_MINUS,
     IDX_EG,
@@ -130,41 +130,57 @@ class TestConcurrenceDephased:
         assert analytic.concurrence_dephased(p, gts).max() <= 0.5 + 1e-12
 
 
+def sigma_zeta(p, gt):
+    """sigma = C^2 from the sweep's read-out of the closed-form states and
+    zeta = T_zz^2 from their diagonal, with the read-out's CHSH maximum
+    checked against 2 sqrt(sigma + max(sigma, zeta))."""
+    rho = analytic.rho_s_matrices(p, np.atleast_1d(gt))
+    conc, bell = trajectory._x_state_readout(rho)
+    d = np.diagonal(rho, axis1=1, axis2=2).real
+    sig = conc**2
+    zeta = (d[:, 0] - d[:, 1] - d[:, 2] + d[:, 3]) ** 2
+    assert np.abs(bell - 2.0 * np.sqrt(sig + np.maximum(sig, zeta))).max() < 1e-14
+    return sig, zeta
+
+
+def bell_max_readout(p, gt):
+    """CHSH maximum read off the closed-form reduced states."""
+    return trajectory._x_state_readout(analytic.rho_s_matrices(p, np.atleast_1d(gt)))[1]
+
+
 class TestSigmaZeta:
     def test_t0(self):
-        sig, zeta = analytic.sigma_zeta(params(delta=1.3), 0.0)
-        assert sig == pytest.approx(0.0, abs=1e-14)
-        assert zeta == pytest.approx(1.0, abs=1e-14)
+        sig, zeta = sigma_zeta(params(delta=1.3), 0.0)
+        assert sig[0] == pytest.approx(0.0, abs=1e-14)
+        assert zeta[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_resonant_half_period(self):
         p = params(delta=0.0)
-        sig, zeta = analytic.sigma_zeta(p, np.pi / p.omega)
-        assert sig == pytest.approx(0.25, abs=1e-12)
-        assert zeta == pytest.approx(0.0, abs=1e-12)
+        sig, zeta = sigma_zeta(p, np.pi / p.omega)
+        assert sig[0] == pytest.approx(0.25, abs=1e-12)
+        assert zeta[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_tsirelson_bound(self):
         for delta in [0.0, 0.3, 2.0]:
             p = params(delta=delta)
             gts = np.linspace(0, 200, 5000)
-            sig, zeta = analytic.sigma_zeta(p, gts)
-            assert (2.0 * np.sqrt(sig + np.maximum(sig, zeta))).max() <= 2 * np.sqrt(2) + 1e-9
-
+            assert bell_max_readout(p, gts).max() <= 2 * np.sqrt(2) + 1e-9
 
 
 class TestBellMaxClosed:
     def test_product_state_at_t0(self):
-        assert analytic.bell_max_closed(params(delta=0.4), 0.0) == pytest.approx(2.0)
+        assert bell_max_readout(params(delta=0.4), 0.0)[0] == pytest.approx(2.0)
 
     def test_resonant_half_period(self):
         p = params(delta=0.0)
-        assert analytic.bell_max_closed(p, np.pi / p.omega) == pytest.approx(
+        assert bell_max_readout(p, np.pi / p.omega)[0] == pytest.approx(
             np.sqrt(2.0), abs=1e-12
         )
 
     def test_resonant_never_violates(self):
         p = params(delta=0.0)
         gts = np.linspace(0, 500, 50001)
-        assert np.asarray(analytic.bell_max_closed(p, gts)).max() <= 2.0 + 1e-12
+        assert bell_max_readout(p, gts).max() <= 2.0 + 1e-12
 
 
 class TestRecurrences:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent.cli import FIGURE_PRESETS, _write_csv, main
+from cavityent.cli import FIGURE_PRESETS, MAX_ROWS, _row_count, _write_csv, main
 from cavityent.frontier import bell_envelope_candidate
 
 
@@ -248,6 +249,44 @@ class TestFigure:
         assert main(["figure", tag, "--n-points", "1",
                      "--output-dir", str(tmp_path / "bundle")]) == 2
         assert not list(tmp_path.rglob("*.csv"))
+
+
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--n-steps", HUGE, "-o", "{out}"],
+    ["figure", "1a", "--n-points", HUGE, "--output-dir", "{out}"],
+    ["frontier", "--kind", "mems", "--n-points", HUGE, "-o", "{out}"],
+    ["recurrences", "--k-max", HUGE, "-o", "{out}"],
+], ids=lambda argv: argv[0])
+def test_huge_row_count_exits_2_before_any_work(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "rows exceed the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_n_steps_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_steps = {HUGE}\n")
+    out = tmp_path / "t.csv"
+    assert main(["evolve", "--config", str(cfg), "-o", str(out)]) == 2
+    assert f"{cfg}:1: n_steps: {HUGE} rows exceed the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_row_count_type():
+    assert MAX_ROWS == 10**6
+    assert _row_count("50001") == 50001
+    assert _row_count(str(MAX_ROWS)) == MAX_ROWS
+    # the lower bounds stay with the library calls, which exit 2 on them
+    assert _row_count("1") == 1
+    for bad in (str(MAX_ROWS + 1), HUGE, "2.5", "many"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _row_count(bad)
 
 
 def _csv_data_lines(rows) -> list[str]:

@@ -158,6 +158,12 @@ class TestMems:
         with pytest.raises(ValueError):
             frontier.mems_concurrence_at(0.95)
 
+    def test_inverse_rejects_non_finite(self):
+        # NaN fails both range comparisons and would be clipped into range
+        for bad in (np.nan, np.inf, -np.inf, [0.1, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                frontier.mems_concurrence_at(bad)
+
     def test_dominates_random_samples(self):
         rng = np.random.default_rng(17)
         states = frontier.random_two_qubit_states(20_000, rng)

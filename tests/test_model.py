@@ -148,8 +148,6 @@ TIME_ENTRY_POINTS = [
     oracles.rho_full_analytic,
     analytic.concurrence_closed,
     analytic.concurrence_dephased,
-    analytic.sigma_zeta,
-    analytic.bell_max_closed,
     evolution.evolve_spectral_grid,
     evolution.evolve_spectral,
     evolution.evolve_grid,
@@ -166,6 +164,17 @@ def test_time_entry_points_reject_bad_times(entry, bad):
     # the time check must be what raises, not a check on p
     with pytest.raises(ValueError, match="times"):
         entry(p, bad)
+
+
+@pytest.mark.parametrize("entry", [evolution.evolve_spectral, evolution.evolve_rk4],
+                         ids=lambda f: f.__name__)
+def test_single_time_entry_points_reject_time_arrays(entry):
+    # a second time must not be dropped silently
+    p = SystemParams(g=1.0, delta=0.5, lambda_=0.8)
+    for gts in ([1.0, 2.0], [1.0], np.array([[0.5]])):
+        with pytest.raises(ValueError, match="single time"):
+            entry(p, gts)
+    assert entry(p, np.float64(1.0)).shape == (4, 4)
 
 
 def test_check_times():

@@ -3,15 +3,16 @@
 Each example compares a closed form with an independent route: the
 cavity-traced spectral solution of the master equation, the Wootters
 concurrence and the correlation-matrix CHSH maximum of the closed-form
-state. The RK4 solver is compared with the spectral one, with dephasing up
-to gamma = 1000. The runs are derandomized, so every run checks the same
-examples.
+state. The sweep's X-state read-out is compared with the last two on
+closed-form and spectral states. The RK4 solver is compared with the
+spectral one, with dephasing up to gamma = 1000. The runs are
+derandomized, so every run checks the same examples.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent import analytic, evolution, metrics
+from cavityent import analytic, evolution, metrics, trajectory
 from cavityent.model import SystemParams
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -52,8 +53,13 @@ def test_closed_form_concurrence_matches_wootters(p, gts):
 @SETTINGS
 @given(p=params, gts=times)
 def test_closed_form_chsh_matches_correlation_matrix(p, gts):
-    general = metrics.bell_max_many(analytic.rho_s_matrices(p, gts))
-    assert np.abs(analytic.bell_max_closed(p, gts) - general).max() < 1e-10
+    # the sweep's X-state read-out against the general Wootters and
+    # correlation-matrix routes, on closed-form and spectral states
+    spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))
+    for states in (analytic.rho_s_matrices(p, gts), spectral):
+        conc, bell = trajectory._x_state_readout(states)
+        assert np.abs(conc - metrics.wootters_concurrence_many(states)).max() < 1e-12
+        assert np.abs(bell - metrics.bell_max_many(states)).max() < 1e-12
 
 
 stiff_params = st.builds(
@@ -73,3 +79,8 @@ sorted_times = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8).map(
 def test_rk4_matches_spectral(p, gts):
     rk4 = evolution.evolve_rk4_grid(p, gts)
     assert np.abs(rk4 - evolution.evolve_spectral_grid(p, gts)).max() < 1e-8
+    # RK4 keeps the reduced states X-shaped (or the read-out raises), and
+    # the read-out's CHSH holds where RK4 drifts off trace one
+    reduced = evolution.reduce_to_atoms(rk4)
+    bell = trajectory._x_state_readout(reduced)[1]
+    assert np.abs(bell - metrics.bell_max_many(reduced)).max() < 1e-12

@@ -51,12 +51,28 @@ class TestSweep:
 
     def test_out_of_range_raw_metric_raises(self, monkeypatch):
         # a raw value outside the physical range must not be clipped away
-        def too_large(p, gts):
-            return np.full(np.shape(gts), TSIRELSON + 1e-6)
+        def too_large(states):
+            return np.zeros(len(states)), np.full(len(states), TSIRELSON + 1e-6)
 
-        monkeypatch.setattr(analytic, "bell_max_closed", too_large)
+        monkeypatch.setattr(trajectory, "_x_state_readout", too_large)
         with pytest.raises(ValueError, match="bell_max"):
             trajectory.sweep(params(delta=0.5), 10.0, 11)
+
+    def test_readout_rejects_non_x_states(self):
+        general = frontier.random_two_qubit_states(8, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="X-states"):
+            trajectory._x_state_readout(general)
+        # one tiny entry anywhere outside the X pattern is enough
+        x = analytic.rho_s_matrices(params(delta=0.5, lambda_=0.7), np.linspace(0, 9, 4))
+        trajectory._x_state_readout(x)
+        outside = [(i, j) for i in range(4) for j in range(4)
+                   if 0 in (i, j) or {i, j} in ({1, 3}, {2, 3})]
+        assert len(outside) == 11
+        for i, j in outside:
+            bad = x.copy()
+            bad[2, i, j] = 1e-300j
+            with pytest.raises(ValueError, match="X-states"):
+                trajectory._x_state_readout(bad)
 
     def test_non_finite_raw_metric_raises(self):
         # NaN fails every range comparison, so it is checked on its own
