@@ -6,8 +6,8 @@ is interpreted as rho = X + X^dagger over the *entire* term list
 reading consistent with trace one and with the t = 0 atomic marginal, and
 it is cross-checked against the numeric evolution oracle in the tests.
 
-Reduced states, the concurrence in closed form (the tests' reference for
-the sweeps, which read their metrics off the states in
+Reduced X-states entry by entry, the closed-form concurrence (the tests'
+reference for the sweeps, which read all metrics off the states in
 cavityent.trajectory), the recurrence series and the stationary concurrence.
 
 All public time arguments are the dimensionless scaled time gt, finite and
@@ -18,15 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BELL_MINUS, BELL_PLUS, IDX_GG, SystemParams, check_times
-
-_GG = np.zeros(4, dtype=complex)
-_GG[IDX_GG] = 1.0
-
-_P_BP = np.outer(BELL_PLUS, BELL_PLUS.conj())
-_P_BM = np.outer(BELL_MINUS, BELL_MINUS.conj())
-_P_GG = np.outer(_GG, _GG.conj())
-_BP_BM = np.outer(BELL_PLUS, BELL_MINUS.conj())
+from .model import SystemParams, check_times
 
 
 def _damping(p: SystemParams, t, gamma: float):
@@ -45,7 +37,7 @@ def _reduced_coeffs(p: SystemParams, gt):
     """Coefficients of the reduced-state term list (before Hermitian closure),
     dephased at rate p.gamma.
 
-    Returns (c_plus, c_minus, c_gg, c_cross) broadcast over gt.
+    Returns (c_plus, c_minus, c_gg, c_cross); c_minus is a constant.
     """
     t = gt / p.g
     omega = p.omega
@@ -54,15 +46,11 @@ def _reduced_coeffs(p: SystemParams, gt):
     damp_cos, damp_p, damp_m = _damping(p, t, p.gamma)
     cos_ot = np.cos(omega * t) * damp_cos
     c_plus = lam / 8.0 * (1.0 + r * r + (1.0 - r * r) * cos_ot)
-    c_minus = np.full_like(gt, lam / 4.0)
+    c_minus = lam / 4.0
     c_gg = p.g**2 * lam / omega**2 * (1.0 - cos_ot) + (1.0 - lam) / 2.0
-    c_cross = (
-        lam
-        / 4.0
-        * (
-            (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0) * damp_p
-            + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0) * damp_m
-        )
+    c_cross = lam / 4.0 * (
+        (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0) * damp_p
+        + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0) * damp_m
     )
     return c_plus, c_minus, c_gg, c_cross
 
@@ -72,15 +60,23 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
 
     Exact for every lambda_ and for pure phase decoherence at rate gamma.
     Returns an array of shape gt.shape + (4, 4).
+
+    With |B+-> = (|eg> +- |ge>)/sqrt 2 the term list X = c+ |B+><B+| +
+    c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-| is, on (|eg>, |ge>),
+    (1/2)[[c+ + c- + c_x, c+ - c- - c_x], [c+ - c- + c_x, c+ + c- - c_x]].
+    c+, c- and c_gg are real, so the nonzero entries of rho = X + X^dagger are
+      rho_eg,eg = c+ + c- + Re c_x,  rho_ge,ge = c+ + c- - Re c_x,
+      rho_gg,gg = 2 c_gg,  rho_eg,ge = conj(rho_ge,eg) = c+ - c- - i Im c_x.
     """
     c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, check_times(gt))
-    x = (
-        c_plus[..., None, None] * _P_BP
-        + c_minus[..., None, None] * _P_BM
-        + c_gg[..., None, None] * _P_GG
-        + c_cross[..., None, None] * _BP_BM
-    )
-    return x + np.swapaxes(x, -1, -2).conj()
+    rho = np.zeros(c_plus.shape + (4, 4), dtype=complex)
+    # |ee>, |eg>, |ge>, |gg> at indices 0..3
+    rho[..., 1, 1] = c_plus + c_minus + c_cross.real
+    rho[..., 2, 2] = c_plus + c_minus - c_cross.real
+    rho[..., 3, 3] = 2.0 * c_gg
+    rho[..., 1, 2] = (c_plus - c_minus) - 1j * c_cross.imag
+    rho[..., 2, 1] = rho[..., 1, 2].conj()
+    return rho
 
 
 def concurrence_closed(p: SystemParams, gt):
@@ -119,8 +115,11 @@ def recurrence_concurrences(p: SystemParams, k_max: int):
     """Pure-state recurrence series (k, gt_k, C_k).
 
     At gt_k = 2 k pi g / Omega the lambda_ = 1 reduced state is pure with
-    concurrence |sin(Delta k pi / Omega)|.
+    concurrence |sin(Delta k pi / Omega)|. The law holds only for that
+    unitary, pure start: ValueError unless lambda_ = 1 and gamma = 0.
     """
+    if p.lambda_ != 1.0 or p.gamma != 0.0:
+        raise ValueError("the recurrence law needs lambda_ = 1 and gamma = 0")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     k = np.arange(1, k_max + 1)

@@ -44,6 +44,8 @@ class FrontierCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("curve needs an (n, 2) array with n >= 2")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("curve points must be finite")
         if np.any(np.diff(pts[:, 0]) <= 0):
             raise ValueError("linear entropy must be strictly increasing")
         object.__setattr__(self, "points", pts)

@@ -1,7 +1,8 @@
-"""State functionals: concurrence, linear entropy, purity, CHSH violation.
-
-Each takes one 4x4 two-qubit density matrix or an (n, 4, 4) stack of them,
-checked by cavityent.linalg.as_state_stack, and returns one value per state.
+"""State functionals of any two-qubit state: concurrence, linear entropy,
+purity, CHSH violation. Each takes one 4x4 density matrix or an (n, 4, 4)
+stack, checked by cavityent.linalg.as_state_stack, and returns one value per
+state. The sweeps read theirs off the X-state (cavityent.trajectory); these
+general routes serve the MEMS audit, the acceptance gate and the tests.
 
 The Wootters eigenvalues lambda_i are computed as the singular values of
 K = L^T (sigma_y (x) sigma_y) L with rho = L L^dagger, which is algebraically

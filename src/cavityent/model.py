@@ -29,9 +29,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-
 # y (x) y spin flip, used by the concurrence
 SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -124,8 +121,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "BELL_PLUS",
-    "BELL_MINUS",
     "SPIN_FLIP",
     "IDX_EE",
     "IDX_EG",

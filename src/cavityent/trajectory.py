@@ -8,8 +8,8 @@ from one of three sources:
   rk4       fixed-step RK4 integration of the master equation (cross-check)
 
 and reads (concurrence, linear entropy, maximal CHSH value, purity) off
-them the same way for every source. The raw metrics must be finite and lie
-in their physical ranges within 1e-9; they are then clipped into them.
+them in one X-state read-out for every source. Raw metrics must be finite
+and lie in their physical ranges within 1e-9; they are then clipped.
 """
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, evolution, metrics
+from . import analytic, evolution
 from .frontier import (
     BELL_FRONTIER,
+    MEMS_CM,
     TSIRELSON,
     FrontierCurve,
     mems_linear_entropy,
@@ -85,16 +86,17 @@ def _clip_to_ranges(raw: dict) -> dict:
     return out
 
 
-def _x_state_readout(states: np.ndarray):
-    """Concurrence and maximal CHSH value of an (n, 4, 4) stack of X-states
-    with an empty |ee> level; ValueError if any entry but the diagonal and
-    the eg-ge coherence is nonzero.
+def _x_state_readout(states: np.ndarray) -> dict:
+    """The four raw sweep metrics of an (n, 4, 4) stack of X-states with an
+    empty |ee> level, keyed like _RANGES; ValueError if any entry but the
+    diagonal and the eg-ge coherence is nonzero.
 
     Then C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
     singular values C (twice) and |T_zz|, T_zz = rho_ee - rho_eg - rho_ge +
     rho_gg, so the Horodecki criterion gives 2 sqrt(C^2 + max(C^2, T_zz^2)).
     T_zz is taken from the whole diagonal, not as 2 rho_gg - 1, which
-    assumes trace one.
+    assumes trace one. Tr rho^2 is the squared diagonal's sum plus
+    2|rho_eg,ge|^2 = C^2/2 (Yu & Eberly), and M = (4/3)(1 - Tr rho^2).
     """
     # |ee>, |eg>, |ge>, |gg> at indices 0..3; views, so the stack is not copied
     off_x = (states[:, 0], states[:, :, 0], states[:, 1:3, 3], states[:, 3, 1:3])
@@ -103,7 +105,13 @@ def _x_state_readout(states: np.ndarray):
     conc = 2.0 * np.abs(states[:, 1, 2])
     diag = np.diagonal(states, axis1=1, axis2=2).real
     t_zz = diag[:, 0] - diag[:, 1] - diag[:, 2] + diag[:, 3]
-    return conc, 2.0 * np.sqrt(conc**2 + np.maximum(conc**2, t_zz**2))
+    purity = (diag**2).sum(axis=1) + conc**2 / 2.0
+    return {
+        "concurrence": conc,
+        "linear_entropy": 4.0 / 3.0 * (1.0 - purity),
+        "bell_max": 2.0 * np.sqrt(conc**2 + np.maximum(conc**2, t_zz**2)),
+        "purity": purity,
+    }
 
 
 def sweep(
@@ -117,14 +125,7 @@ def sweep(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     gts = np.linspace(0.0, gt_max, n_steps)
-    states = _REDUCED_STATES[source](p, gts)
-    conc, bell = _x_state_readout(states)
-    raw = {
-        "concurrence": conc,
-        "linear_entropy": metrics.linear_entropy_many(states),
-        "bell_max": bell,
-        "purity": metrics.purity_many(states),
-    }
+    raw = _x_state_readout(_REDUCED_STATES[source](p, gts))
     return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
 
 
@@ -133,7 +134,7 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
 
     The score is the symmetric Hausdorff distance between the trajectory's
     plane points and their mirror image about the horizontal axis at half
-    the frontier concurrence corresponding to the initial linear entropy; a
+    the MEMS concurrence corresponding to the initial linear entropy; a
     small score means the pattern is close to mirror symmetric. The
     reflection is an isometry and its own inverse, so the two directed
     distances are equal and one directed query gives the score. Undefined
@@ -142,9 +143,9 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     """
     if traj.params.lambda_ >= 1.0:
         raise ValueError("mirror axis undefined for lambda_ == 1")
+    if curve.kind != MEMS_CM:
+        raise ValueError(f"mirror axis is defined by the MEMS curve, not {curve.kind!r}")
     m0 = float(traj.linear_entropy[0])
-    if curve.kind == BELL_FRONTIER:
-        raise ValueError("mirror check is defined in the (M, C) plane")
     axis = float(np.interp(m0, curve.points[:, 0], curve.points[:, 1])) / 2.0
     pts = traj.plane_points()
     reflected = pts.copy()

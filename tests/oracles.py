@@ -10,6 +10,9 @@ them with full-space runs and check that no population leaves the block.
 Full-space RK4 runs use the classical per-step loop, rk4_run, so they check
 the library's matrix-power RK4 against an independent integrator.
 
+The reduced state in the printed projector form checks the library's
+entry-by-entry build of it.
+
 Two-qubit references: the Werner and MEMS states, the eigenvalue route to
 the Wootters concurrence, the MEMS excess of sampled states and linear
 interpolation along a frontier curve.
@@ -22,11 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from cavityent.analytic import _reduced_coeffs
 from cavityent.frontier import BELL_FRONTIER, mems_concurrence_at
 from cavityent.metrics import linear_entropy_many, wootters_concurrence_many
 from cavityent.model import (
-    BELL_MINUS,
-    BELL_PLUS,
     IDX_EE,
     IDX_EG,
     IDX_GE,
@@ -35,6 +37,9 @@ from cavityent.model import (
     SystemParams,
     check_times,
 )
+
+BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = SIGMA_PLUS.conj().T
@@ -249,6 +254,23 @@ def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
     x += c_cross * np.kron(p00, np.outer(BELL_PLUS, BELL_MINUS.conj()))
     x += (1.0 - lam) / 2.0 * np.kron(p00, proj_gg)
     return x + x.conj().T
+
+
+def rho_s_term_list(p: SystemParams, gt) -> np.ndarray:
+    """Reduced two-atom states in the printed projector form, X + X^dagger
+    with X = c+ |B+><B+| + c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-|, from
+    the library's coefficients; shape gt.shape + (4, 4)."""
+    c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, check_times(gt))
+    gg = np.zeros(4, dtype=complex)
+    gg[IDX_GG] = 1.0
+    terms = (
+        (c_plus, np.outer(BELL_PLUS, BELL_PLUS.conj())),
+        (c_minus, np.outer(BELL_MINUS, BELL_MINUS.conj())),
+        (c_gg, np.outer(gg, gg.conj())),
+        (c_cross, np.outer(BELL_PLUS, BELL_MINUS.conj())),
+    )
+    x = sum(np.asarray(c)[..., None, None] * proj for c, proj in terms)
+    return x + np.swapaxes(x, -1, -2).conj()
 
 
 def werner_matrix(p_bell: float) -> np.ndarray:

@@ -3,12 +3,8 @@ import pytest
 
 import oracles
 from cavityent import analytic, trajectory
-from cavityent.model import (
-    BELL_MINUS,
-    IDX_EG,
-    IDX_GG,
-    SystemParams,
-)
+from cavityent.model import IDX_EG, IDX_GG, SystemParams
+from oracles import BELL_MINUS
 
 
 def params(delta=0.0, lambda_=1.0, gamma=0.0):
@@ -135,7 +131,8 @@ def sigma_zeta(p, gt):
     zeta = T_zz^2 from their diagonal, with the read-out's CHSH maximum
     checked against 2 sqrt(sigma + max(sigma, zeta))."""
     rho = analytic.rho_s_matrices(p, np.atleast_1d(gt))
-    conc, bell = trajectory._x_state_readout(rho)
+    raw = trajectory._x_state_readout(rho)
+    conc, bell = raw["concurrence"], raw["bell_max"]
     d = np.diagonal(rho, axis1=1, axis2=2).real
     sig = conc**2
     zeta = (d[:, 0] - d[:, 1] - d[:, 2] + d[:, 3]) ** 2
@@ -145,7 +142,8 @@ def sigma_zeta(p, gt):
 
 def bell_max_readout(p, gt):
     """CHSH maximum read off the closed-form reduced states."""
-    return trajectory._x_state_readout(analytic.rho_s_matrices(p, np.atleast_1d(gt)))[1]
+    states = analytic.rho_s_matrices(p, np.atleast_1d(gt))
+    return trajectory._x_state_readout(states)["bell_max"]
 
 
 class TestSigmaZeta:
@@ -205,6 +203,14 @@ class TestRecurrences:
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
             analytic.recurrence_concurrences(params(), 0)
+
+    def test_rejects_mixed_or_dephased_start(self):
+        # the law is the lambda = 1 unitary one; it must not be returned
+        # for any other start
+        for p in (params(delta=0.5, lambda_=0.7), params(delta=0.5, gamma=0.3),
+                  params(delta=0.5, lambda_=0.7, gamma=0.3)):
+            with pytest.raises(ValueError, match="lambda_ = 1 and gamma = 0"):
+                analytic.recurrence_concurrences(p, 3)
 
 
 class TestStationaryConcurrence:

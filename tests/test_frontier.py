@@ -94,6 +94,15 @@ class TestFrontierCurve:
         with pytest.raises(ValueError):
             frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [0.0, 0.5]]))
 
+    def test_rejects_non_finite_points(self):
+        # NaN fails every comparison, so the monotonicity check alone passes it
+        for bad in (np.nan, np.inf):
+            for idx in ((0, 0), (1, 0), (1, 1)):
+                pts = np.array([[0.0, 1.0], [0.5, 0.7], [1.0, 0.0]])
+                pts[idx] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    frontier.FrontierCurve("werner", pts)
+
     def test_linear_interpolation(self):
         curve = frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert oracles.curve_value_at(curve, 0.25) == pytest.approx(0.75)

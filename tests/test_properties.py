@@ -4,7 +4,9 @@ Each example compares a closed form with an independent route: the
 cavity-traced spectral solution of the master equation, the Wootters
 concurrence and the correlation-matrix CHSH maximum of the closed-form
 state. The sweep's X-state read-out is compared with the last two on
-closed-form and spectral states. The RK4 solver is compared with the
+closed-form and spectral states, and its purity and linear entropy with
+the general routes on the states of every sweep source. The entry-by-entry
+closed-form state is compared with the printed projector form. The RK4 solver is compared with the
 spectral one, with dephasing up to gamma = 1000. The runs are
 derandomized, so every run checks the same examples.
 """
@@ -12,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cavityent import analytic, evolution, metrics, trajectory
 from cavityent.model import SystemParams
 
@@ -32,6 +35,12 @@ times = st.lists(st.floats(0.0, 500.0), min_size=1, max_size=8).map(np.array)
 def test_closed_form_state_matches_spectral(p, gts):
     spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))
     assert np.abs(analytic.rho_s_matrices(p, gts) - spectral).max() < 1e-8
+
+
+@SETTINGS
+@given(p=params, gts=times)
+def test_closed_form_state_matches_term_list(p, gts):
+    assert np.abs(analytic.rho_s_matrices(p, gts) - oracles.rho_s_term_list(p, gts)).max() < 1e-15
 
 
 @SETTINGS
@@ -57,9 +66,9 @@ def test_closed_form_chsh_matches_correlation_matrix(p, gts):
     # correlation-matrix routes, on closed-form and spectral states
     spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))
     for states in (analytic.rho_s_matrices(p, gts), spectral):
-        conc, bell = trajectory._x_state_readout(states)
-        assert np.abs(conc - metrics.wootters_concurrence_many(states)).max() < 1e-12
-        assert np.abs(bell - metrics.bell_max_many(states)).max() < 1e-12
+        raw = trajectory._x_state_readout(states)
+        assert np.abs(raw["concurrence"] - metrics.wootters_concurrence_many(states)).max() < 1e-12
+        assert np.abs(raw["bell_max"] - metrics.bell_max_many(states)).max() < 1e-12
 
 
 stiff_params = st.builds(
@@ -82,5 +91,23 @@ def test_rk4_matches_spectral(p, gts):
     # RK4 keeps the reduced states X-shaped (or the read-out raises), and
     # the read-out's CHSH holds where RK4 drifts off trace one
     reduced = evolution.reduce_to_atoms(rk4)
-    bell = trajectory._x_state_readout(reduced)[1]
+    bell = trajectory._x_state_readout(reduced)["bell_max"]
     assert np.abs(bell - metrics.bell_max_many(reduced)).max() < 1e-12
+
+
+resonant_or_detuned = st.builds(
+    SystemParams,
+    g=st.just(1.0),
+    delta=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    lambda_=st.floats(0.0, 1.0),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+)
+
+
+@SETTINGS
+@given(p=resonant_or_detuned, gts=sorted_times, source=st.sampled_from(trajectory.SOURCES))
+def test_readout_purity_matches_general_routes(p, gts, source):
+    states = trajectory._REDUCED_STATES[source](p, gts)
+    raw = trajectory._x_state_readout(states)
+    assert np.abs(raw["purity"] - metrics.purity_many(states)).max() < 1e-12
+    assert np.abs(raw["linear_entropy"] - metrics.linear_entropy_many(states)).max() < 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavityent import analytic, frontier, trajectory
+from cavityent import analytic, frontier, metrics, trajectory
 from cavityent.frontier import TSIRELSON, coverage, mems_curve, werner_curve
 from cavityent.model import SystemParams
 
@@ -52,11 +52,27 @@ class TestSweep:
     def test_out_of_range_raw_metric_raises(self, monkeypatch):
         # a raw value outside the physical range must not be clipped away
         def too_large(states):
-            return np.zeros(len(states)), np.full(len(states), TSIRELSON + 1e-6)
+            return {"concurrence": np.zeros(len(states)),
+                    "bell_max": np.full(len(states), TSIRELSON + 1e-6)}
 
         monkeypatch.setattr(trajectory, "_x_state_readout", too_large)
         with pytest.raises(ValueError, match="bell_max"):
             trajectory.sweep(params(delta=0.5), 10.0, 11)
+
+    def test_sweep_calls_no_general_metric(self, monkeypatch):
+        # all four columns come from the X-state read-out, for every source
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep called a general metric")
+
+        names = [name for name, fn in vars(metrics).items()
+                 if callable(fn) and getattr(fn, "__module__", None) == metrics.__name__]
+        assert "purity_many" in names and "linear_entropy_many" in names
+        for name in names:
+            monkeypatch.setattr(metrics, name, refuse)
+        p = params(delta=0.5, lambda_=0.7, gamma=0.01)
+        for source in trajectory.SOURCES:
+            traj = trajectory.sweep(p, 5.0, 21, source=source)
+            assert traj.purity[0] == pytest.approx(0.58)
 
     def test_readout_rejects_non_x_states(self):
         general = frontier.random_two_qubit_states(8, np.random.default_rng(3))
@@ -125,6 +141,12 @@ class TestPlanePatterns:
         traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 10.0, 51)
         with pytest.raises(ValueError):
             trajectory.mirror_symmetry_check(traj, curve)
+
+    def test_mirror_check_rejects_werner_curve(self):
+        # the axis is half the MEMS concurrence at the initial entropy
+        traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 10.0, 51)
+        with pytest.raises(ValueError, match="MEMS"):
+            trajectory.mirror_symmetry_check(traj, werner_curve(101))
 
     def test_entropy_dip_below_initial_for_low_lambda(self):
         # lambda = 0.6 dips below its starting mixedness, 0.7 and 0.9 do not
