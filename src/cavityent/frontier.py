@@ -27,6 +27,7 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 WERNER = "werner"
 MEMS_CM = "mems"
 BELL_FRONTIER = "bell"
+CURVE_KINDS = (WERNER, MEMS_CM, BELL_FRONTIER)
 
 EFFECTIVELY_RATIONAL = "EFFECTIVELY_RATIONAL"
 EFFECTIVELY_IRRATIONAL = "EFFECTIVELY_IRRATIONAL"
@@ -41,6 +42,8 @@ class FrontierCurve:
     points: np.ndarray
 
     def __post_init__(self):
+        if self.kind not in CURVE_KINDS:
+            raise ValueError(f"unknown curve kind {self.kind!r}; expected one of {CURVE_KINDS}")
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("curve needs an (n, 2) array with n >= 2")
@@ -235,12 +238,51 @@ def plane_tree(points):
     return cKDTree(points, compact_nodes=False, balanced_tree=False)
 
 
+_BOUND_STRIDE = 16
+
+
+def _distance_bounds(tree, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on every query's nearest distance in ``tree``.
+
+    Every 16th query and the last are answered by one ``tree.query``; their
+    bounds are that exact distance. The nearest distance d is 1-Lipschitz,
+    so a query q at chord |q - q_a| from its left sample q_a (index
+    16 (i // 16)) has d_a - |q - q_a| <= d(q) <= d_a + |q - q_a|, in any
+    query order; the bounds are tight where consecutive queries are close.
+    Each bound is padded outward by 1e-12 relative plus 1e-12 absolute, so
+    that rounding in the tree's distances and in the chord cannot move a
+    bound past the exact distance; a bound that does not clear a threshold
+    by the pad leaves that query to be answered exactly.
+
+    The reductions over the bounds stay exact: they call ``tree.query`` on
+    every query that attains or could attain their result, and a KD-tree
+    answers each query independently of the rest of its batch.
+    """
+    n = len(queries)
+    samples = np.union1d(np.arange(0, n, _BOUND_STRIDE), [n - 1])
+    exact = tree.query(queries[samples])[0]
+    left = np.arange(n) // _BOUND_STRIDE
+    d_left = exact[left]
+    chord = np.hypot(*(queries - queries[left * _BOUND_STRIDE]).T)
+    pad = 1e-12 * (d_left + chord) + 1e-12
+    lower = d_left - chord - pad
+    upper = d_left + chord + pad
+    lower[samples] = upper[samples] = exact
+    return lower, upper
+
+
 def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
     """Epsilon-coverage of ``curve`` by the trajectory's plane points.
 
     ``traj`` is a Trajectory (or anything with plane_points()) whose plane
     coordinates match the curve kind: (M, C) for concurrence curves,
     (M, |B|max) for the Bell frontier.
+
+    The curve is resampled to 4096 points by arc length; the covered
+    fraction is the share of them within epsilon of a trajectory point.
+    Only resampled points whose distance bounds (_distance_bounds) leave
+    open the minimum or the side of epsilon are queried exactly, so both
+    numbers equal those of querying all 4096.
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ValueError("epsilon must be positive and finite")
@@ -248,13 +290,18 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
     if pts.size == 0:
         raise ValueError("empty trajectory")
     dense = _polyline_resample(curve.points)
-    dist, _ = plane_tree(pts).query(dense)
+    tree = plane_tree(pts)
+    lower, upper = _distance_bounds(tree, dense)
+    undecided = (lower <= epsilon) & (upper > epsilon)
+    queried = undecided | (lower <= upper.min())
+    dist = tree.query(dense[queried])[0]
+    # a point left unqueried is covered exactly when its upper bound is
+    covered = np.count_nonzero(dist <= epsilon) + np.count_nonzero(upper[~queried] <= epsilon)
     # uniform arc-length resampling: covered fraction is a sample mean
-    fraction = float(np.mean(dist <= epsilon))
     return CoverageReport(
         epsilon=float(epsilon),
         min_distance=float(dist.min()),
-        fraction_covered=fraction,
+        fraction_covered=covered / len(dense),
     )
 
 

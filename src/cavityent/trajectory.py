@@ -20,9 +20,11 @@ import numpy as np
 from . import analytic, evolution
 from .frontier import (
     BELL_FRONTIER,
+    CURVE_KINDS,
     MEMS_CM,
     TSIRELSON,
     FrontierCurve,
+    _distance_bounds,
     mems_linear_entropy,
     plane_tree,
 )
@@ -57,6 +59,8 @@ class Trajectory:
 
     def plane_points(self, kind: str = "mems") -> np.ndarray:
         """(M, C) points, or (M, |B|max) for the Bell frontier kind."""
+        if kind not in CURVE_KINDS:
+            raise ValueError(f"unknown plane kind {kind!r}; expected one of {CURVE_KINDS}")
         value = self.bell_max if kind == BELL_FRONTIER else self.concurrence
         return np.column_stack([self.linear_entropy, value])
 
@@ -137,12 +141,14 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     the MEMS concurrence corresponding to the initial linear entropy; a
     small score means the pattern is close to mirror symmetric. The
     reflection is an isometry and its own inverse, so the two directed
-    distances are equal and one directed query gives the score. Undefined
-    for a pure initial state (the initial linear entropy is 0 and the axis
-    degenerates).
+    distances are equal and one directed query gives the score; only the
+    reflected points whose distance bounds (frontier._distance_bounds) can
+    reach the largest one are queried exactly. Undefined for a pure initial
+    state, lambda = 0 or 1 (the initial linear entropy (8/3) lambda
+    (1 - lambda) is 0 and the axis degenerates).
     """
-    if traj.params.lambda_ >= 1.0:
-        raise ValueError("mirror axis undefined for lambda_ == 1")
+    if not 0.0 < traj.params.lambda_ < 1.0:
+        raise ValueError("mirror axis undefined unless 0 < lambda_ < 1")
     if curve.kind != MEMS_CM:
         raise ValueError(f"mirror axis is defined by the MEMS curve, not {curve.kind!r}")
     m0 = float(traj.linear_entropy[0])
@@ -150,7 +156,9 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     pts = traj.plane_points()
     reflected = pts.copy()
     reflected[:, 1] = 2.0 * axis - reflected[:, 1]
-    return float(plane_tree(pts).query(reflected)[0].max())
+    tree = plane_tree(pts)
+    lower, upper = _distance_bounds(tree, reflected)
+    return float(tree.query(reflected[upper >= lower.max()])[0].max())
 
 
 def initial_linear_entropy(p: SystemParams) -> float:
@@ -159,10 +167,14 @@ def initial_linear_entropy(p: SystemParams) -> float:
 
 
 def min_mems_distance(traj: Trajectory) -> float:
-    """Smallest Euclidean (M, C)-plane distance to the MEMS frontier."""
+    """Smallest Euclidean (M, C)-plane distance to the MEMS frontier,
+    sampled at 4097 points; only the samples whose distance bounds
+    (frontier._distance_bounds) can reach the smallest one are queried."""
     c = np.linspace(1.0, 0.0, 4097)
     curve_pts = np.column_stack([mems_linear_entropy(c), c])
-    return float(plane_tree(traj.plane_points()).query(curve_pts)[0].min())
+    tree = plane_tree(traj.plane_points())
+    lower, upper = _distance_bounds(tree, curve_pts)
+    return float(tree.query(curve_pts[lower <= upper.min()])[0].min())
 
 
 __all__ = [

@@ -94,6 +94,16 @@ class TestFrontierCurve:
         with pytest.raises(ValueError):
             frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [0.0, 0.5]]))
 
+    def test_rejects_unknown_kind(self):
+        # coverage reads the kind to pick the plane; a typo must not fall
+        # back to the concurrence plane
+        pts = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for kind in ("bel", "MEMS", ""):
+            with pytest.raises(ValueError, match="kind"):
+                frontier.FrontierCurve(kind, pts)
+        for kind in frontier.CURVE_KINDS:
+            assert frontier.FrontierCurve(kind, pts).kind == kind
+
     def test_rejects_non_finite_points(self):
         # NaN fails every comparison, so the monotonicity check alone passes it
         for bad in (np.nan, np.inf):
@@ -288,6 +298,19 @@ class TestCoverage:
         rep = frontier.coverage(pts, self.curve(), epsilon=0.05)
         assert rep.fraction_covered == 0.0
         assert rep.min_distance == pytest.approx(0.1 / np.sqrt(2), abs=1e-3)
+
+    def test_epsilon_equal_to_a_distance_along_a_ray(self):
+        # the distance to one point changes linearly along a straight curve,
+        # so the unpadded bounds d_a -/+ chord meet it up to rounding and
+        # land on either side of an epsilon that is one of the distances
+        curve = self.curve()
+        for target in ([1.2, -0.2], [-0.3, 1.3]):
+            pts = np.array([target])
+            dist = frontier.plane_tree(pts).query(frontier._polyline_resample(curve.points))[0]
+            for epsilon in dist[1:64]:
+                rep = frontier.coverage(pts, curve, epsilon)
+                assert rep.fraction_covered == np.mean(dist <= epsilon)
+                assert rep.min_distance == dist.min()
 
     def test_rejects_bad_epsilon(self):
         for epsilon in (0.0, np.nan, np.inf):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cavityent import analytic, frontier, metrics, trajectory
 from cavityent.frontier import TSIRELSON, coverage, mems_curve, werner_curve
@@ -134,6 +136,13 @@ class TestPlanePatterns:
         with pytest.raises(ValueError):
             trajectory.mirror_symmetry_check(traj, mems_curve(101))
 
+    def test_mirror_check_rejects_ground_start(self):
+        # lambda = 0 is pure too: the initial linear entropy (8/3) lambda
+        # (1 - lambda) vanishes at both ends
+        traj = trajectory.sweep(params(delta=0.5, lambda_=0.0), 10.0, 51)
+        with pytest.raises(ValueError, match="lambda"):
+            trajectory.mirror_symmetry_check(traj, mems_curve(101))
+
     def test_mirror_check_rejects_bell_curve(self):
         from cavityent.frontier import bell_envelope_candidate, FrontierCurve, BELL_FRONTIER
         m = np.linspace(0, 1, 11)
@@ -164,23 +173,33 @@ class TestPlanePatterns:
         assert pts.shape == (51, 2)
         bell_pts = traj.plane_points("bell")
         assert np.array_equal(bell_pts[:, 1], traj.bell_max)
+        assert np.array_equal(traj.plane_points("werner"), pts)
+
+    def test_plane_points_rejects_unknown_kind(self):
+        traj = trajectory.sweep(params(delta=0.5), 10.0, 51)
+        for kind in ("bel", "concurrence", ""):
+            with pytest.raises(ValueError, match="kind"):
+                traj.plane_points(kind)
 
 
 def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exact distance from each query to its nearest point, by brute force
-    over all pairs (in chunks of queries, to bound memory)."""
+    over all pairs (in chunks of queries, to bound memory). The squared
+    distances are formed in place and the square root is taken after the
+    minimum, which it does not change."""
     out = np.empty(len(queries))
-    for i in range(0, len(queries), 256):
-        diff = queries[i:i + 256, None, :] - points[None, :, :]
-        out[i:i + 256] = np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
-    return out
+    for i in range(0, len(queries), 512):
+        dx = queries[i:i + 512, 0, None] - points[None, :, 0]
+        dy = queries[i:i + 512, 1, None] - points[None, :, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        out[i:i + 512] = dx.min(axis=1)
+    return np.sqrt(out)
 
 
-def random_trajectory(seed: int, n: int, repeats: int) -> trajectory.Trajectory:
-    """n random (M, C) points, the whole set repeated ``repeats`` times."""
-    rng = np.random.default_rng(seed)
-    m = np.tile(rng.uniform(0.0, 8.0 / 9.0, n), repeats)
-    c = np.tile(rng.uniform(0.0, 1.0, n), repeats)
+def plane_trajectory(m: np.ndarray, c: np.ndarray) -> trajectory.Trajectory:
+    """Trajectory with the given (M, C) points and a mixed start."""
     return trajectory.Trajectory(
         params=params(delta=0.5, lambda_=0.7),
         source=trajectory.ANALYTIC,
@@ -190,6 +209,14 @@ def random_trajectory(seed: int, n: int, repeats: int) -> trajectory.Trajectory:
         bell_max=np.full(len(m), 2.0),
         purity=1.0 - 0.75 * m,
     )
+
+
+def random_trajectory(seed: int, n: int, repeats: int) -> trajectory.Trajectory:
+    """n random (M, C) points, the whole set repeated ``repeats`` times."""
+    rng = np.random.default_rng(seed)
+    m = np.tile(rng.uniform(0.0, 8.0 / 9.0, n), repeats)
+    c = np.tile(rng.uniform(0.0, 1.0, n), repeats)
+    return plane_trajectory(m, c)
 
 
 PLANE_CASES = {
@@ -233,6 +260,97 @@ def test_plane_analytics_match_brute_force(case):
     assert trajectory.mirror_symmetry_check(traj, curve) == pytest.approx(
         hausdorff, abs=1e-12
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 15, 16, 17]) | st.integers(18, 3000),
+    repeats=st.integers(1, 3),
+    duplicated=st.booleans(),
+    shuffled=st.booleans(),
+    pick=st.floats(0.0, 1.0),
+)
+def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, shuffled, pick):
+    # a smooth closed-looking curve, retraced, with points doubled, in
+    # curve order or shuffled: the distance bounds are tight for the first
+    # and useless for the second, and the reductions must not notice
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, rng.uniform(1.0, 60.0), n)
+    w, phase = rng.uniform(0.2, 3.0, 2), rng.uniform(0.0, 2 * np.pi, 2)
+    m = 0.45 + 0.4 * np.sin(w[0] * t + phase[0])
+    c = 0.5 + 0.45 * np.sin(w[1] * t + phase[1])
+    m, c = np.tile(m, repeats), np.tile(c, repeats)
+    if duplicated:
+        m, c = np.repeat(m, 2), np.repeat(c, 2)
+    if shuffled:
+        order = rng.permutation(len(m))
+        m, c = m[order], c[order]
+    traj = plane_trajectory(m, c)
+    pts = traj.plane_points()
+    tree = frontier.plane_tree(pts)
+
+    curve = mems_curve(257)
+    axis = np.interp(m[0], *curve.points.T) / 2.0
+    reflected = pts * [1.0, -1.0] + [0.0, 2.0 * axis]
+    assert trajectory.mirror_symmetry_check(traj, curve) == tree.query(reflected)[0].max()
+
+    c_knots = np.linspace(1.0, 0.0, 4097)
+    mems_pts = np.column_stack([frontier.mems_linear_entropy(c_knots), c_knots])
+    assert trajectory.min_mems_distance(traj) == tree.query(mems_pts)[0].min()
+
+    for curve in (mems_curve(257), werner_curve(257)):
+        dist = tree.query(frontier._polyline_resample(curve.points))[0]
+        # epsilon exactly one of the distances: the bound straddles it
+        epsilon = float(np.sort(dist)[int(pick * (len(dist) - 1))])
+        assume(epsilon > 0.0)
+        rep = coverage(traj, curve, epsilon=epsilon)
+        assert rep.min_distance == dist.min()
+        assert rep.fraction_covered == np.mean(dist <= epsilon)
+
+
+def test_distance_bounds_hold_in_any_order():
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.0, 1.0, (500, 2))
+    tree = frontier.plane_tree(pts)
+    for n in (1, 2, 15, 16, 17, 1000):
+        curve = np.column_stack([np.linspace(0, 1, n), np.linspace(1, 0, n) ** 2])
+        for queries in (curve, rng.permutation(curve)):
+            lower, upper = frontier._distance_bounds(tree, queries)
+            exact = tree.query(queries)[0]
+            assert np.all(lower <= exact) and np.all(exact <= upper)
+            # every 16th query and the last are answered exactly
+            sampled = np.union1d(np.arange(0, n, 16), [n - 1])
+            assert np.array_equal(lower[sampled], exact[sampled])
+            assert np.array_equal(upper[sampled], exact[sampled])
+
+
+def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
+    # on a periodic sweep the bounds decide most nearest distances, so each
+    # reduction asks the tree about fewer than a third of its queries
+    build = frontier.plane_tree
+    asked = []
+
+    class CountingTree:
+        def __init__(self, points):
+            self.tree = build(points)
+
+        def query(self, queries, *args, **kwargs):
+            asked[-1] += len(queries)
+            return self.tree.query(queries, *args, **kwargs)
+
+    monkeypatch.setattr(frontier, "plane_tree", CountingTree)
+    monkeypatch.setattr(trajectory, "plane_tree", CountingTree)
+    traj = trajectory.sweep(params(delta=0.0, lambda_=0.7), 500.0, 50001)
+    curve = mems_curve(257)
+    for reduce, rows in (
+        (lambda: coverage(traj, curve, epsilon=0.02), 4096),
+        (lambda: trajectory.min_mems_distance(traj), 4097),
+        (lambda: trajectory.mirror_symmetry_check(traj, curve), 50001),
+    ):
+        asked.append(0)
+        reduce()
+        assert 0 < asked[-1] < rows / 3
 
 
 class TestDephasedSweep:
