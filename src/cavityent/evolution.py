@@ -1,4 +1,6 @@
-"""Numeric evolution oracle for the dephasing master equation.
+"""Numeric evolution of the dephasing master equation: the spectral and
+rk4 sweep sources (cavityent.trajectory) and the tests' check of the
+closed forms.
 
     d rho / dt = -i [H, rho] - (gamma/2) [H, [H, rho]]
 

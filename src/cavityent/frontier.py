@@ -14,7 +14,7 @@ horizon).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,9 +66,9 @@ class RationalityReport:
     ratio: float
     tol: float
     q_max: int
-    convergents: list[tuple[int, int]] = field(default_factory=list)
-    best_q: int | None = None
-    classification: str = EFFECTIVELY_IRRATIONAL
+    convergents: list[tuple[int, int]]
+    best_q: int | None
+    classification: str
 
 
 def werner_curve(n_points: int) -> FrontierCurve:
@@ -124,9 +124,7 @@ def random_two_qubit_states(n: int, rng: np.random.Generator) -> np.ndarray:
     return (1.0 - x) * pure + x * np.eye(4)[None] / 4.0
 
 
-def mems_oracle_excess(
-    samples: int, seed: int, refine: int = 32, rng_refine_scale: float = 0.02
-) -> float:
+def mems_oracle_excess(samples: int, seed: int, refine: int = 32) -> float:
     """Optimization oracle for the MEMS curve.
 
     Draws seeded random states, locally perturbs the ones closest to the
@@ -144,7 +142,7 @@ def mems_oracle_excess(
     for idx in np.argsort(gap)[:refine]:
         rho = states[idx]
         best_gap = gap[idx]
-        scale = rng_refine_scale
+        scale = 0.02  # shrunk by 0.9 after each rejected step
         for _ in range(200):
             pert = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             pert = (pert + pert.conj().T) / 2.0
@@ -206,8 +204,9 @@ def bell_frontier(n_points: int = 129) -> FrontierCurve:
     )
 
 
-def _polyline_resample(points: np.ndarray, n: int = 4096) -> np.ndarray:
-    """Resample a polyline uniformly by arc length."""
+def _polyline_resample(points: np.ndarray) -> np.ndarray:
+    """Resample a polyline uniformly by arc length to 4096 points."""
+    n = 4096
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     if s[-1] == 0.0:

@@ -93,7 +93,8 @@ def _clip_to_ranges(raw: dict) -> dict:
 def _x_state_readout(states: np.ndarray) -> dict:
     """The four raw sweep metrics of an (n, 4, 4) stack of X-states with an
     empty |ee> level, keyed like _RANGES; ValueError if any entry but the
-    diagonal and the eg-ge coherence is nonzero.
+    diagonal and the eg-ge coherence is nonzero, naming non-finite states
+    (a solver overflow) as the cause where there are any.
 
     Then C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
     singular values C (twice) and |T_zz|, T_zz = rho_ee - rho_eg - rho_ge +
@@ -105,6 +106,8 @@ def _x_state_readout(states: np.ndarray) -> dict:
     # |ee>, |eg>, |ge>, |gg> at indices 0..3; views, so the stack is not copied
     off_x = (states[:, 0], states[:, :, 0], states[:, 1:3, 3], states[:, 3, 1:3])
     if any(block.any() for block in off_x):
+        if not np.isfinite(states).all():
+            raise ValueError("the solver produced non-finite reduced states")
         raise ValueError("reduced states are not X-states with an empty |ee> level")
     conc = 2.0 * np.abs(states[:, 1, 2])
     diag = np.diagonal(states, axis1=1, axis2=2).real
@@ -129,7 +132,10 @@ def sweep(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     gts = np.linspace(0.0, gt_max, n_steps)
-    raw = _x_state_readout(_REDUCED_STATES[source](p, gts))
+    # an overflow shows up as non-finite states, which the read-out and the
+    # range check report, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = _x_state_readout(_REDUCED_STATES[source](p, gts))
     return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
 
 

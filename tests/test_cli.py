@@ -95,6 +95,22 @@ class TestEvolve:
             rows[source] = read_csv(out)[2]
         assert np.abs(rows["rk4"] - rows["spectral"]).max() < 1e-8
 
+    @pytest.mark.parametrize("source, flags", [
+        ("rk4", ["--gamma", "1e30"]),  # the propagator power overflows
+        ("spectral", ["--gamma", "1e300", "--delta", "1e100"]),  # inf * 0 at gt = 0
+    ])
+    def test_solver_overflow_is_named_as_such(self, tmp_path, capsys, source, flags):
+        argv = ["evolve", *flags, "--gt-max", "1", "--n-steps", "3"]
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--source", source, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the solver produced non-finite reduced states\n"
+        assert not out.exists()
+        # the closed form underflows its damping to 0 and is fine
+        assert main([*argv, "--source", "analytic", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.isfinite(read_csv(out)[2]).all()
+
     def test_rk4_large_detuning_finishes(self):
         # a subprocess, so that a step count growing with Delta cannot hang the suite
         out = subprocess.run(

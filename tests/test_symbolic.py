@@ -92,3 +92,38 @@ def test_rho_s_matrices_matches_exact_state(point):
     p = SystemParams(g=1.0, delta=float(delta), lambda_=float(lam), gamma=float(gamma))
     got = analytic.rho_s_matrices(p, float(gt))
     assert np.abs(got - want).max() < 1e-13
+
+
+def _concurrence_closed_form():
+    """lambda sqrt(A^2 + B^2) with A and B written out term by term: the
+    cos Omega t term decays as exp(-gamma Omega^2 t / 2) and the two sines
+    at (Omega +- Delta)/2 as exp(-gamma (Omega +- Delta)^2 t / 8)."""
+    r = DELTA / OMEGA
+    a = (
+        DELTA**2 / (4 * OMEGA**2) - R(1, 4)
+        + R(1, 4) * (1 - r**2) * sp.cos(OMEGA * T) * sp.exp(-GAMMA * OMEGA**2 * T / 2)
+    )
+    b = (
+        R(1, 2) * (1 - r) * sp.sin((OMEGA + DELTA) * T / 2)
+        * sp.exp(-GAMMA * (OMEGA + DELTA) ** 2 * T / 8)
+        - R(1, 2) * (1 + r) * sp.sin((OMEGA - DELTA) * T / 2)
+        * sp.exp(-GAMMA * (OMEGA - DELTA) ** 2 * T / 8)
+    )
+    return LAM * sp.sqrt(a**2 + b**2)
+
+
+_CONCURRENCE = _concurrence_closed_form()
+
+
+@pytest.mark.parametrize("point", POINTS, ids=[f"p{i}" for i in range(len(POINTS))])
+def test_concurrence_closed_form_matches_exact_state(point):
+    delta, lam, gamma, gt = point
+    subs = {G: 1, DELTA: delta, LAM: lam, GAMMA: gamma, T: gt}
+    want = _CONCURRENCE.evalf(30, subs=subs)
+    # Wootters: an X-state with an empty |ee> level has C = 2|rho_eg,ge|
+    wootters = 2 * abs(_REDUCED[1, 2].evalf(30, subs=subs))
+    assert abs(want - wootters) < 1e-28
+    p = SystemParams(g=1.0, delta=float(delta), lambda_=float(lam), gamma=float(gamma))
+    assert abs(analytic.concurrence_dephased(p, float(gt)) - float(want)) < 1e-13
+    if gamma == 0:
+        assert abs(analytic.concurrence_closed(p, float(gt)) - float(want)) < 1e-13
