@@ -93,18 +93,19 @@ def _fmt(x) -> str:
 def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: bool):
     """Metadata lines, the header, then one line per row of the 2-D float array.
 
-    Each row is formatted whole with one ``%.12g`` format per column, which
-    prints exactly what ``_fmt`` prints for each value.
+    The data block is one ``%`` call: the row format (one ``%.12g`` per
+    column, then a newline) repeated once per row, applied to every value in
+    row-major order. ``%.12g`` prints exactly what ``_fmt`` prints for each
+    value, and no list of row strings is built.
     """
     lines = [f"# cavityent {__version__}"]
     for key, value in meta.items():
         lines.append(f"# {key} = {value}")
     if timestamp:
         lines.append(f"# generated = {datetime.now(timezone.utc).isoformat()}")
-    lines.append(header)
-    row_format = ",".join(["%.12g"] * rows.shape[1])
-    lines.extend(row_format % tuple(row) for row in rows.tolist())
-    text = "\n".join(lines) + "\n"
+    lines += [header, ""]
+    row_format = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    text = "\n".join(lines) + (row_format * len(rows)) % tuple(rows.ravel().tolist())
     if path == "-":
         sys.stdout.write(text)
     else:

@@ -42,14 +42,23 @@ class EvolutionResult:
 
 
 def evolve_spectral_grid(p: SystemParams, gts) -> np.ndarray:
-    """Block states at each scaled time, shape (n, 4, 4)."""
+    """Block states at each scaled time, shape (n, 4, 4).
+
+    rho_ab(t) = sum_mn rho0_mn exp(-i w_mn t - (gamma/2) w_mn^2 t) v_am
+    conj(v_bn) is one (n, 16) @ (16, 16) product with K[(m, n), (a, b)] =
+    v_am conj(v_bn). The (n, 16) factor is exponentiated and scaled in
+    place, so the peak allocation is that factor plus the result.
+    """
     gts = np.atleast_1d(check_times(gts))
     w, v = np.linalg.eigh(hamiltonian(p))
     rho0 = v.conj().T @ initial_state(p) @ v
     omega_mn = w[:, None] - w[None, :]
-    t = gts / p.g
-    expo = (-1j * omega_mn - p.gamma / 2.0 * omega_mn**2) * t[:, None, None]
-    return v @ (rho0 * np.exp(expo)) @ v.conj().T
+    coef = -1j * omega_mn - p.gamma / 2.0 * omega_mn**2
+    kernel = np.einsum("am,bn->mnab", v, v.conj()).reshape(16, 16)
+    phases = np.multiply.outer(gts / p.g, coef.ravel())
+    np.exp(phases, out=phases)
+    phases *= rho0.ravel()
+    return (phases @ kernel).reshape(-1, 4, 4)
 
 
 def _single_time(gt):
@@ -113,8 +122,15 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     equal intervals share one propagator. dt defaults to evolve_rk4_grid's.
     """
     if dt is None:
-        dt = 0.005 / (p.omega * math.hypot(1.0, p.gamma * p.omega / 2.0))
-    if not 0.0 < dt < math.inf:
+        radius = p.omega * math.hypot(1.0, p.gamma * p.omega / 2.0)
+        if not radius < math.inf:
+            raise ValueError(
+                "the Liouvillian's spectral radius Omega sqrt(1 + (gamma Omega/2)^2) "
+                f"overflows for gamma = {p.gamma:g}, Omega = {p.omega:g}, "
+                "so RK4 has no positive default step"
+            )
+        dt = 0.005 / radius
+    elif not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     gts = np.atleast_1d(check_times(gts))
     if np.any(np.diff(gts) < 0):

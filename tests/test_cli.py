@@ -4,6 +4,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,16 @@ class TestEvolve:
         assert main([*argv, "--source", "analytic", "-o", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert np.isfinite(read_csv(out)[2]).all()
+
+    def test_rk4_overflowing_default_step_is_named(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["evolve", "--source", "rk4", "--gamma", "1e300", "--delta", "1e100",
+                "--gt-max", "1", "--n-steps", "3", "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the Liouvillian's spectral radius "
+                              "Omega sqrt(1 + (gamma Omega/2)^2) overflows")
+        assert not out.exists()
 
     def test_rk4_large_detuning_finishes(self):
         # a subprocess, so that a step count growing with Delta cannot hang the suite
@@ -331,12 +342,27 @@ def test_csv_row_format_matches_per_value_format():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
     min_size=1, max_size=8,
-))
+)))
 def test_csv_row_format_property(rows):
     assert _csv_data_lines(rows) == _per_value_lines(rows)
+
+
+def test_csv_writing_peak_memory(tmp_path):
+    # the data block is formatted in one pass: the peak is the values as
+    # Python floats plus the text, with no list of row strings beside them
+    rows = np.random.default_rng(0).random((50001, 5))
+    out = tmp_path / "rows.csv"
+    _write_csv(str(out), {}, "h", rows[:10], timestamp=False)
+    tracemalloc.start()
+    try:
+        _write_csv(str(out), {}, "h", rows, timestamp=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * out.stat().st_size
 
 
 _LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ class TestSpectral:
         for gt in [0.3, 4.2, 77.7]:
             got = oracles.embed(evolution.evolve_spectral(p, gt), 1)
             assert np.abs(got - oracles.rho_full_analytic(p, gt)).max() < 1e-10
+
+    def test_peak_memory_is_factor_plus_result(self):
+        # the (n, 16) factor is exponentiated and scaled in place before the
+        # one product, so the peak is about twice the result
+        p = params(delta=0.5, gamma=0.01)
+        gts = np.linspace(0.0, 500.0, 50001)
+        evolution.evolve_spectral_grid(p, gts[:10])
+        tracemalloc.start()
+        try:
+            states = evolution.evolve_spectral_grid(p, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * states.nbytes
 
     def test_eigenbasis_populations_constant_under_dephasing(self):
         p = params(delta=0.5, gamma=0.05)
