@@ -6,9 +6,10 @@ is interpreted as rho = X + X^dagger over the *entire* term list
 reading consistent with trace one and with the t = 0 atomic marginal, and
 it is cross-checked against the numeric evolution oracle in the tests.
 
-Reduced X-states entry by entry, the closed-form concurrence (the tests'
-reference for the sweeps, which read all metrics off the states in
-cavityent.trajectory), the recurrence series and the stationary concurrence.
+The four entries that fix the reduced X-state (the analytic sweep source,
+read out in cavityent.trajectory) and the (..., 4, 4) matrices built from
+them, the closed-form concurrence (the tests' reference for the sweeps),
+the recurrence series and the stationary concurrence.
 
 All public time arguments are the dimensionless scaled time gt, finite and
 nonnegative; conversion to physical time happens exactly once at each
@@ -53,12 +54,12 @@ def _reduced_coeffs(p: SystemParams, gt):
     return c_plus, c_minus, c_gg, c_cross
 
 
-def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
-    """Reduced two-atom density matrices on a grid of scaled times.
+def x_state_entries(p: SystemParams, gt):
+    """The entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) that fix the
+    reduced two-atom X-state on a grid of scaled times, arrays of gt's shape;
+    the other entries are 0 but rho_ge,eg = conj(rho_eg,ge).
 
     Exact for every lambda_ and for pure phase decoherence at rate gamma.
-    Returns an array of shape gt.shape + (4, 4).
-
     With |B+-> = (|eg> +- |ge>)/sqrt 2 the term list X = c+ |B+><B+| +
     c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-| is, on (|eg>, |ge>),
     (1/2)[[c+ + c- + c_x, c+ - c- - c_x], [c+ - c- + c_x, c+ + c- - c_x]].
@@ -67,20 +68,25 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
       rho_gg,gg = 2 c_gg,  rho_eg,ge = conj(rho_ge,eg) = c+ - c- - i Im c_x.
     """
     c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, check_times(gt))
-    rho = np.zeros(c_plus.shape + (4, 4), dtype=complex)
+    c_sum, eg_ge = c_plus + c_minus, (c_plus - c_minus) - 1j * c_cross.imag
+    return c_sum + c_cross.real, c_sum - c_cross.real, 2.0 * c_gg, eg_ge
+
+
+def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
+    """Reduced two-atom density matrices on a grid of scaled times, shape
+    gt.shape + (4, 4), built from x_state_entries."""
+    eg_eg, ge_ge, gg_gg, eg_ge = x_state_entries(p, gt)
+    rho = np.zeros(eg_ge.shape + (4, 4), dtype=complex)
     # |ee>, |eg>, |ge>, |gg> at indices 0..3
-    rho[..., 1, 1] = c_plus + c_minus + c_cross.real
-    rho[..., 2, 2] = c_plus + c_minus - c_cross.real
-    rho[..., 3, 3] = 2.0 * c_gg
-    rho[..., 1, 2] = (c_plus - c_minus) - 1j * c_cross.imag
-    rho[..., 2, 1] = rho[..., 1, 2].conj()
+    rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = eg_eg, ge_ge, gg_gg
+    rho[..., 1, 2], rho[..., 2, 1] = eg_ge, eg_ge.conj()
     return rho
 
 
 def concurrence_dephased(p: SystemParams, gt):
     """Closed-form concurrence lambda*sqrt(A^2 + B^2) under pure phase
     decoherence at rate gamma: 2|rho_eg,ge| of the X-state (Wootters), with
-    lambda A = 2(c+ - c-) and lambda B = 2 Im c_x (rho_s_matrices)."""
+    lambda A = 2(c+ - c-) and lambda B = 2 Im c_x (x_state_entries)."""
     c_plus, c_minus, _, c_cross = _reduced_coeffs(p, check_times(gt))
     out = 2.0 * np.hypot(c_plus - c_minus, c_cross.imag)
     return out if out.ndim else float(out)

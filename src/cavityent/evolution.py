@@ -140,6 +140,8 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     propagators = {}
     for i, t in enumerate(np.diff(gts, prepend=0.0) / p.g):
         if t not in propagators:
+            if not t / dt < math.inf:
+                raise ValueError(f"the RK4 step count ceil({t:g} / dt) overflows, dt = {dt:g}")
             n_steps = refine * max(1, math.ceil(t / dt))
             propagators[t] = _rk4_propagator(p, t, n_steps)
         states[i] = vec = propagators[t] @ vec

@@ -1,15 +1,17 @@
 """Time-grid sweeps producing metric trajectories.
 
-A sweep takes the reduced two-atom states on a uniform grid of scaled times
-from one of three sources:
+A sweep takes the entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) of
+the reduced two-atom X-states on a uniform grid of scaled times from one
+of three sources:
 
-  analytic  closed-form reduced states (analytic.rho_s_matrices)
+  analytic  closed-form entries (analytic.x_state_entries)
   spectral  exact spectral solution of the master equation, cavity-traced
   rk4       fixed-step RK4 integration of the master equation (cross-check)
 
 and reads (concurrence, linear entropy, maximal CHSH value, purity) off
-them in one X-state read-out for every source. Raw metrics must be finite
-and lie in their physical ranges within 1e-9; they are then clipped.
+them in one read-out for every source. The numeric sources' (n, 4, 4)
+states must have the X pattern. Raw metrics must be finite and lie in
+their physical ranges within 1e-9; they are then clipped.
 """
 from __future__ import annotations
 
@@ -34,14 +36,16 @@ ANALYTIC = "analytic"
 SPECTRAL = "spectral"
 RK4 = "rk4"
 
-# each source's (n, 4, 4) reduced states, with the solvers looked up at call
-# time so that a wrapper installed on the module attribute sees every call
-_REDUCED_STATES = {
-    ANALYTIC: lambda p, gts: analytic.rho_s_matrices(p, gts),
-    SPECTRAL: lambda p, gts: evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts)),
-    RK4: lambda p, gts: evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, gts)),
+# each source's X-state entries, with the solvers looked up at call time so
+# that a wrapper installed on the module attribute sees every call
+_X_STATE_ENTRIES = {
+    ANALYTIC: lambda p, gts: analytic.x_state_entries(p, gts),
+    SPECTRAL: lambda p, gts: _x_entries(
+        evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))),
+    RK4: lambda p, gts: _x_entries(
+        evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, gts))),
 }
-SOURCES = tuple(_REDUCED_STATES)
+SOURCES = tuple(_X_STATE_ENTRIES)
 
 
 @dataclass(frozen=True)
@@ -90,18 +94,11 @@ def _clip_to_ranges(raw: dict) -> dict:
     return out
 
 
-def _x_state_readout(states: np.ndarray) -> dict:
-    """The four raw sweep metrics of an (n, 4, 4) stack of X-states with an
-    empty |ee> level, keyed like _RANGES; ValueError if any entry but the
-    diagonal and the eg-ge coherence is nonzero, naming non-finite states
-    (a solver overflow) as the cause where there are any.
-
-    Then C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
-    singular values C (twice) and |T_zz|, T_zz = rho_ee - rho_eg - rho_ge +
-    rho_gg, so the Horodecki criterion gives 2 sqrt(C^2 + max(C^2, T_zz^2)).
-    T_zz is taken from the whole diagonal, not as 2 rho_gg - 1, which
-    assumes trace one. Tr rho^2 is the squared diagonal's sum plus
-    2|rho_eg,ge|^2 = C^2/2 (Yu & Eberly), and M = (4/3)(1 - Tr rho^2).
+def _x_entries(states: np.ndarray) -> tuple:
+    """Views of the entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) of
+    an (n, 4, 4) stack of X-states with an empty |ee> level; ValueError if
+    any entry but the diagonal and the eg-ge coherence is nonzero, naming
+    non-finite states (a solver overflow) as the cause where there are any.
     """
     # |ee>, |eg>, |ge>, |gg> at indices 0..3; views, so the stack is not copied
     off_x = (states[:, 0], states[:, :, 0], states[:, 1:3, 3], states[:, 3, 1:3])
@@ -109,16 +106,34 @@ def _x_state_readout(states: np.ndarray) -> dict:
         if not np.isfinite(states).all():
             raise ValueError("the solver produced non-finite reduced states")
         raise ValueError("reduced states are not X-states with an empty |ee> level")
-    conc = 2.0 * np.abs(states[:, 1, 2])
-    diag = np.diagonal(states, axis1=1, axis2=2).real
-    t_zz = diag[:, 0] - diag[:, 1] - diag[:, 2] + diag[:, 3]
-    purity = (diag**2).sum(axis=1) + conc**2 / 2.0
+    return states[:, 1, 1].real, states[:, 2, 2].real, states[:, 3, 3].real, states[:, 1, 2]
+
+
+def _x_entry_readout(eg_eg, ge_ge, gg_gg, eg_ge) -> dict:
+    """The four raw sweep metrics of X-states with an empty |ee> level, from
+    their entries (_x_entries), keyed like _RANGES.
+
+    C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
+    singular values C (twice) and |T_zz|, T_zz = rho_gg - rho_eg - rho_ge,
+    so the Horodecki criterion gives 2 sqrt(C^2 + max(C^2, T_zz^2)).
+    T_zz is taken from the diagonal, not as 2 rho_gg - 1, which assumes
+    trace one. Tr rho^2 is the squared diagonal's sum plus
+    2|rho_eg,ge|^2 = C^2/2 (Yu & Eberly), and M = (4/3)(1 - Tr rho^2).
+    """
+    conc = 2.0 * np.abs(eg_ge)
+    t_zz = -eg_eg - ge_ge + gg_gg
+    purity = eg_eg**2 + ge_ge**2 + gg_gg**2 + conc**2 / 2.0
     return {
         "concurrence": conc,
         "linear_entropy": 4.0 / 3.0 * (1.0 - purity),
         "bell_max": 2.0 * np.sqrt(conc**2 + np.maximum(conc**2, t_zz**2)),
         "purity": purity,
     }
+
+
+def _x_state_readout(states: np.ndarray) -> dict:
+    """_x_entry_readout of an (n, 4, 4) stack, after _x_entries' check."""
+    return _x_entry_readout(*_x_entries(states))
 
 
 def sweep(
@@ -135,7 +150,7 @@ def sweep(
     # an overflow shows up as non-finite states, which the read-out and the
     # range check report, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _x_state_readout(_REDUCED_STATES[source](p, gts))
+        raw = _x_entry_readout(*_X_STATE_ENTRIES[source](p, gts))
     return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
 
 

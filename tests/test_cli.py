@@ -122,6 +122,17 @@ class TestEvolve:
                               "Omega sqrt(1 + (gamma Omega/2)^2) overflows")
         assert not out.exists()
 
+    def test_rk4_overflowing_step_count_is_named(self, tmp_path, capsys):
+        # the default step is positive but so small that interval / dt is inf
+        out = tmp_path / "t.csv"
+        argv = ["evolve", "--source", "rk4", "--gamma", "1e305", "--gt-max", "1000",
+                "--n-steps", "3", "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the RK4 step count ceil(500 / dt) overflows")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_rk4_large_detuning_finishes(self):
         # a subprocess, so that a step count growing with Delta cannot hang the suite
         out = subprocess.run(

@@ -5,7 +5,9 @@ cavity-traced spectral solution of the master equation, the Wootters
 concurrence and the correlation-matrix CHSH maximum of the closed-form
 state. The sweep's X-state read-out is compared with the last two on
 closed-form and spectral states, and its purity and linear entropy with
-the general routes on the states of every sweep source. The entry-by-entry
+the general routes on the states of every sweep source. The analytic
+sweep, read off the closed-form X-state entries, is compared exactly with
+the read-out of the closed-form (n, 4, 4) states. The entry-by-entry
 closed-form state is compared with the printed projector form. The RK4 solver is compared with the
 spectral one, with dephasing up to gamma = 1000. The runs are
 derandomized, so every run checks the same examples.
@@ -109,7 +111,24 @@ resonant_or_detuned = st.builds(
 @SETTINGS
 @given(p=resonant_or_detuned, gts=sorted_times, source=st.sampled_from(trajectory.SOURCES))
 def test_readout_purity_matches_general_routes(p, gts, source):
-    states = trajectory._REDUCED_STATES[source](p, gts)
+    if source == trajectory.ANALYTIC:
+        states = analytic.rho_s_matrices(p, gts)
+    else:
+        solve = {trajectory.SPECTRAL: evolution.evolve_spectral_grid,
+                 trajectory.RK4: evolution.evolve_rk4_grid}[source]
+        states = evolution.reduce_to_atoms(solve(p, gts))
     raw = trajectory._x_state_readout(states)
     assert np.abs(raw["purity"] - metrics.purity_many(states)).max() < 1e-12
     assert np.abs(raw["linear_entropy"] - metrics.linear_entropy_many(states)).max() < 1e-12
+
+
+@SETTINGS
+@given(p=resonant_or_detuned, gt_max=st.floats(1e-3, 500.0), n_steps=st.integers(2, 64))
+def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
+    # the entries the analytic source yields and the (n, 4, 4) closed-form
+    # states are one closed form: every column is read out identically
+    traj = trajectory.sweep(p, gt_max, n_steps)
+    states = analytic.rho_s_matrices(p, traj.gt)
+    want = trajectory._clip_to_ranges(trajectory._x_state_readout(states))
+    for name, column in want.items():
+        assert np.array_equal(getattr(traj, name), column)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavityent import analytic, frontier, metrics, trajectory
+from cavityent import analytic, evolution, frontier, metrics, trajectory
 from cavityent.frontier import TSIRELSON, coverage, mems_curve, werner_curve
 from cavityent.model import SystemParams
 
@@ -53,11 +55,11 @@ class TestSweep:
 
     def test_out_of_range_raw_metric_raises(self, monkeypatch):
         # a raw value outside the physical range must not be clipped away
-        def too_large(states):
-            return {"concurrence": np.zeros(len(states)),
-                    "bell_max": np.full(len(states), TSIRELSON + 1e-6)}
+        def too_large(eg_eg, ge_ge, gg_gg, eg_ge):
+            return {"concurrence": np.zeros(len(eg_eg)),
+                    "bell_max": np.full(len(eg_eg), TSIRELSON + 1e-6)}
 
-        monkeypatch.setattr(trajectory, "_x_state_readout", too_large)
+        monkeypatch.setattr(trajectory, "_x_entry_readout", too_large)
         with pytest.raises(ValueError, match="bell_max"):
             trajectory.sweep(params(delta=0.5), 10.0, 11)
 
@@ -91,6 +93,39 @@ class TestSweep:
             bad[2, i, j] = 1e-300j
             with pytest.raises(ValueError, match="X-states"):
                 trajectory._x_state_readout(bad)
+
+    @pytest.mark.parametrize("solver, source", [("evolve_spectral_grid", trajectory.SPECTRAL),
+                                                ("evolve_rk4_grid", trajectory.RK4)])
+    @pytest.mark.parametrize("entry, match", [(1e-300j, "X-states"), (np.nan, "non-finite")])
+    def test_numeric_sources_keep_the_x_pattern_check(
+            self, monkeypatch, solver, source, entry, match):
+        # one block entry that the cavity trace puts at |eg><gg|, outside the X pattern
+        solve = getattr(evolution, solver)
+
+        def corrupted(p, gts):
+            states = solve(p, gts)
+            states[2, 0, 2] = entry
+            return states
+
+        p = params(delta=0.5, lambda_=0.7, gamma=0.01)
+        trajectory.sweep(p, 5.0, 21, source=source)
+        monkeypatch.setattr(evolution, solver, corrupted)
+        with pytest.raises(ValueError, match=match):
+            trajectory.sweep(p, 5.0, 21, source=source)
+
+    def test_analytic_sweep_peak_memory(self):
+        # the closed form yields the four X-state entries, so no (n, 4, 4)
+        # stack is built: the peak is a few arrays beside the five returned
+        p = params(delta=0.5)
+        trajectory.sweep(p, 500.0, 101)
+        tracemalloc.start()
+        try:
+            traj = trajectory.sweep(p, 500.0, 50001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = (traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity)
+        assert peak <= 3.5 * sum(column.nbytes for column in returned)
 
     def test_non_finite_raw_metric_raises(self):
         # NaN fails every range comparison, so it is checked on its own
