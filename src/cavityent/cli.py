@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -67,9 +68,11 @@ class RunConfig:
         return 5001 if self.gt_max <= 50.0 else 50001
 
 
-# Largest row count of one output. The spectral sweep, the costliest per
-# row, peaks at 37.5 MiB of allocations per 50 001 rows, so a run at the cap
-# allocates about 750 MiB; the largest count in use is 50 001.
+# Largest row count of one output. The analytic and spectral sweeps and the
+# CSV work in blocks of rows, so an evolve run allocates about 90-100 bytes
+# per row at its peak; RK4, one block, is the costliest at about 550 bytes
+# per row, so a run at the cap allocates about 530 MiB. The largest count
+# in use is 50 001.
 MAX_ROWS = 10**6
 
 
@@ -90,13 +93,18 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+_CSV_BLOCK = 4096
+
+
 def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: bool):
     """Metadata lines, the header, then one line per row of the 2-D float array.
 
-    The data block is one ``%`` call: the row format (one ``%.12g`` per
-    column, then a newline) repeated once per row, applied to every value in
-    row-major order. ``%.12g`` prints exactly what ``_fmt`` prints for each
-    value, and no list of row strings is built.
+    The data is written in blocks of _CSV_BLOCK rows, each one ``%`` call:
+    the row format (one ``%.12g`` per column, then a newline) repeated once
+    per row, applied to the block's values in row-major order. ``%.12g``
+    prints exactly what ``_fmt`` prints for each value, no list of row
+    strings is built, and the Python floats and text of one block are all
+    that is held beside the array.
     """
     lines = [f"# cavityent {__version__}"]
     for key, value in meta.items():
@@ -105,11 +113,11 @@ def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: 
         lines.append(f"# generated = {datetime.now(timezone.utc).isoformat()}")
     lines += [header, ""]
     row_format = ",".join(["%.12g"] * rows.shape[1]) + "\n"
-    text = "\n".join(lines) + (row_format * len(rows)) % tuple(rows.ravel().tolist())
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as out:
+        out.write("\n".join(lines))
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo:lo + _CSV_BLOCK]
+            out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 # config-file key -> (RunConfig field, type); the evolve flags store into

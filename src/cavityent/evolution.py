@@ -160,12 +160,16 @@ def evolve_rk4(
     the Liouvillian's spectral radius. The run takes n = ceil(gt / (g dt))
     equal steps as one power of the one-step propagator that
     evolve_rk4_grid uses. With check_step it is repeated with exactly 2n
-    steps, and a discrepancy above 1e-4 raises StepSizeError.
+    steps, and a discrepancy above 1e-4, or non-finite states from either
+    run, raise StepSizeError.
     """
     gt = _single_time(gt)
     rho = _rk4_grid(p, gt, dt)[0]
     if check_step:
         disc = np.abs(rho - _rk4_grid(p, gt, dt, refine=2)[0]).max()
+        # NaN fails every comparison, so a non-finite result is named first
+        if not np.isfinite(disc):
+            raise StepSizeError("RK4 produced non-finite states; the step-halving check fails")
         if disc > 1e-4:
             raise StepSizeError(
                 f"step-halving discrepancy {disc:.3e} > 1e-4; reduce dt"

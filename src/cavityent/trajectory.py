@@ -9,13 +9,18 @@ of three sources:
   rk4       fixed-step RK4 integration of the master equation (cross-check)
 
 and reads (concurrence, linear entropy, maximal CHSH value, purity) off
-them in one read-out for every source. The numeric sources' (n, 4, 4)
-states must have the X pattern. Raw metrics must be finite and lie in
-their physical ranges within 1e-9; they are then clipped.
+them in one read-out for every source. The analytic and spectral sources
+are evaluated in blocks of _BLOCK times, so their temporaries do not grow
+with the grid; RK4 carries each grid point on from the previous one and
+runs as one block. The numeric sources' (n, 4, 4) states must have the X
+pattern. Raw metrics must be finite and lie in their physical ranges
+within 1e-9; they are then clipped. The returned columns are read-only.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,14 +41,20 @@ ANALYTIC = "analytic"
 SPECTRAL = "spectral"
 RK4 = "rk4"
 
-# each source's X-state entries, with the solvers looked up at call time so
-# that a wrapper installed on the module attribute sees every call
+# times per block of a source whose grid points are independent: a block's
+# temporaries (the spectral source's (4096, 16) complex factor is 1 MiB)
+# then stay the same for every grid size
+_BLOCK = 4096
+
+# each source's X-state entries and its block size, with the solvers looked
+# up at call time so that a wrapper installed on the module attribute sees
+# every call; RK4's one block is the whole grid
 _X_STATE_ENTRIES = {
-    ANALYTIC: lambda p, gts: analytic.x_state_entries(p, gts),
-    SPECTRAL: lambda p, gts: _x_entries(
-        evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))),
-    RK4: lambda p, gts: _x_entries(
-        evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, gts))),
+    ANALYTIC: (lambda p, gts: analytic.x_state_entries(p, gts), _BLOCK),
+    SPECTRAL: (lambda p, gts: _x_entries(
+        evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))), _BLOCK),
+    RK4: (lambda p, gts: _x_entries(
+        evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, gts))), sys.maxsize),
 }
 SOURCES = tuple(_X_STATE_ENTRIES)
 
@@ -68,6 +79,13 @@ class Trajectory:
         value = self.bell_max if kind == BELL_FRONTIER else self.concurrence
         return np.column_stack([self.linear_entropy, value])
 
+    @cached_property
+    def tree(self):
+        """plane_tree over the (M, C) points, built at the first use and
+        shared by the MEMS and Werner coverage, min_mems_distance and the
+        mirror score. sweep's columns are read-only, so it cannot go stale."""
+        return plane_tree(self.plane_points())
+
 
 _RANGE_SLACK = 1e-9
 _RANGES = {
@@ -79,9 +97,8 @@ _RANGES = {
 
 
 def _clip_to_ranges(raw: dict) -> dict:
-    """Each raw metric clipped into its range; ValueError if it holds a
-    non-finite value or strays outside by more than _RANGE_SLACK."""
-    out = {}
+    """raw, each metric clipped in place into its range; ValueError if one
+    holds a non-finite value or strays outside by more than _RANGE_SLACK."""
     for name, values in raw.items():
         lo, hi = _RANGES[name]
         if not np.all(np.isfinite(values)):
@@ -90,8 +107,8 @@ def _clip_to_ranges(raw: dict) -> dict:
             raise ValueError(
                 f"{name} out of range [{values.min()}, {values.max()}]"
             )
-        out[name] = np.clip(values, lo, hi)
-    return out
+        np.clip(values, lo, hi, out=values)
+    return raw
 
 
 def _x_entries(states: np.ndarray) -> tuple:
@@ -147,11 +164,19 @@ def sweep(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     gts = np.linspace(0.0, gt_max, n_steps)
+    entries, block = _X_STATE_ENTRIES[source]
+    raw = {name: np.empty(n_steps) for name in _RANGES}
     # an overflow shows up as non-finite states, which the read-out and the
     # range check report, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _x_entry_readout(*_X_STATE_ENTRIES[source](p, gts))
-    return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
+        for lo in range(0, n_steps, block):
+            part = _x_entry_readout(*entries(p, gts[lo:lo + block]))
+            for name, values in part.items():
+                raw[name][lo:lo + block] = values
+    columns = _clip_to_ranges(raw)
+    for column in (gts, *columns.values()):
+        column.flags.writeable = False
+    return Trajectory(params=p, source=source, gt=gts, **columns)
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
@@ -174,10 +199,9 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
         raise ValueError(f"mirror axis is defined by the MEMS curve, not {curve.kind!r}")
     m0 = float(traj.linear_entropy[0])
     axis = float(np.interp(m0, curve.points[:, 0], curve.points[:, 1])) / 2.0
-    pts = traj.plane_points()
-    reflected = pts.copy()
-    reflected[:, 1] = 2.0 * axis - reflected[:, 1]
-    tree = plane_tree(pts)
+    tree = traj.tree
+    reflected = tree.data.copy()
+    np.subtract(2.0 * axis, reflected[:, 1], out=reflected[:, 1])
     lower, upper = _distance_bounds(tree, reflected)
     return float(tree.query(reflected[upper >= lower.max()])[0].max())
 
@@ -193,7 +217,7 @@ def min_mems_distance(traj: Trajectory) -> float:
     (frontier._distance_bounds) can reach the smallest one are queried."""
     c = np.linspace(1.0, 0.0, 4097)
     curve_pts = np.column_stack([mems_linear_entropy(c), c])
-    tree = plane_tree(traj.plane_points())
+    tree = traj.tree
     lower, upper = _distance_bounds(tree, curve_pts)
     return float(tree.query(curve_pts[lower <= upper.min()])[0].min())
 

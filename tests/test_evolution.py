@@ -135,6 +135,14 @@ class TestRK4:
             with pytest.raises(evolution.StepSizeError):
                 evolution.evolve_rk4(p, 1.0, dt=dt)
 
+    def test_non_finite_result_raises(self):
+        # the propagator power overflows; NaN fails every comparison, so the
+        # step-halving check must name the non-finite states, not pass them
+        p = params(delta=0.5, gamma=1e30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(evolution.StepSizeError, match="non-finite"):
+                evolution.evolve_rk4(p, 1.0)
+
     def test_rejects_bad_args(self):
         p = params()
         with pytest.raises(ValueError):

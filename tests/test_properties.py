@@ -123,10 +123,12 @@ def test_readout_purity_matches_general_routes(p, gts, source):
 
 
 @SETTINGS
-@given(p=resonant_or_detuned, gt_max=st.floats(1e-3, 500.0), n_steps=st.integers(2, 64))
+@given(p=resonant_or_detuned, gt_max=st.floats(1e-3, 500.0),
+       n_steps=st.integers(2, 64) | st.sampled_from([4095, 4096, 4097, 8193]))
 def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
     # the entries the analytic source yields and the (n, 4, 4) closed-form
-    # states are one closed form: every column is read out identically
+    # states are one closed form: every column is read out identically,
+    # also across the sweep's blocks of 4096 times
     traj = trajectory.sweep(p, gt_max, n_steps)
     states = analytic.rho_s_matrices(p, traj.gt)
     want = trajectory._clip_to_ranges(trajectory._x_state_readout(states))

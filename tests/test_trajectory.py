@@ -113,9 +113,35 @@ class TestSweep:
         with pytest.raises(ValueError, match=match):
             trajectory.sweep(p, 5.0, 21, source=source)
 
+    def test_spectral_sweep_checks_the_last_block(self, monkeypatch):
+        # the spectral source runs in blocks of times: a bad entry in the
+        # last, partial block must still fail the X-pattern check
+        solve = evolution.evolve_spectral_grid
+        n_steps = 2 * trajectory._BLOCK + 1
+        gt_max = 50.0
+
+        def corrupted(p, gts):
+            states = solve(p, gts)
+            if gts[-1] == gt_max:
+                states[-1, 0, 2] = 1e-300j
+            return states
+
+        p = params(delta=0.5, lambda_=0.7, gamma=0.01)
+        monkeypatch.setattr(evolution, "evolve_spectral_grid", corrupted)
+        with pytest.raises(ValueError, match="X-states"):
+            trajectory.sweep(p, gt_max, n_steps, source=trajectory.SPECTRAL)
+
+    def test_sweep_columns_are_read_only(self):
+        # a Trajectory caches its plane tree, which must not go stale
+        traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
+        for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(traj, name)[0] = 0.5
+
     def test_analytic_sweep_peak_memory(self):
-        # the closed form yields the four X-state entries, so no (n, 4, 4)
-        # stack is built: the peak is a few arrays beside the five returned
+        # the closed form yields the four X-state entries block by block
+        # into the columns, which are clipped in place: the peak is one
+        # block's temporaries beside the five returned arrays
         p = params(delta=0.5)
         trajectory.sweep(p, 500.0, 101)
         tracemalloc.start()
@@ -125,7 +151,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         returned = (traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity)
-        assert peak <= 3.5 * sum(column.nbytes for column in returned)
+        assert peak <= 2.0 * sum(column.nbytes for column in returned)
 
     def test_non_finite_raw_metric_raises(self):
         # NaN fails every range comparison, so it is checked on its own
@@ -369,6 +395,7 @@ def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
     class CountingTree:
         def __init__(self, points):
             self.tree = build(points)
+            self.data = self.tree.data
 
         def query(self, queries, *args, **kwargs):
             asked[-1] += len(queries)
@@ -386,6 +413,27 @@ def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
         asked.append(0)
         reduce()
         assert 0 < asked[-1] < rows / 3
+
+
+def test_plane_reductions_share_one_tree(monkeypatch):
+    # the MEMS and Werner coverage, the MEMS distance and the mirror score
+    # of one sweep all query the trajectory's one cached (M, C) tree
+    build = frontier.plane_tree
+    built = []
+
+    def counting_build(points):
+        built.append(len(points))
+        return build(points)
+
+    monkeypatch.setattr(frontier, "plane_tree", counting_build)
+    monkeypatch.setattr(trajectory, "plane_tree", counting_build)
+    traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 5001)
+    mems = mems_curve(257)
+    coverage(traj, mems, epsilon=0.02)
+    coverage(traj, werner_curve(257), epsilon=0.02)
+    trajectory.min_mems_distance(traj)
+    trajectory.mirror_symmetry_check(traj, mems)
+    assert built == [5001]
 
 
 class TestDephasedSweep:
