@@ -68,11 +68,9 @@ class RunConfig:
         return 5001 if self.gt_max <= 50.0 else 50001
 
 
-# Largest row count of one output. The analytic and spectral sweeps and the
-# CSV work in blocks of rows, so an evolve run allocates about 90-100 bytes
-# per row at its peak; RK4, one block, is the costliest at about 550 bytes
-# per row, so a run at the cap allocates about 530 MiB. The largest count
-# in use is 50 001.
+# Largest row count of one output. Every sweep source and the CSV work in
+# blocks of rows, so an evolve run allocates about 100 bytes per row at its
+# peak, about 100 MiB at the cap. The largest count in use is 50 001.
 MAX_ROWS = 10**6
 
 

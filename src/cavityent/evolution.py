@@ -12,7 +12,8 @@ kept as an independent cross-check with a different failure mode: it needs
 no eigendecomposition. The right-hand side is one 16x16 matrix L on
 vec(rho), so n RK4 steps of length h are the n-th power of RK4's stability
 polynomial at hL. The default step is 0.005 over L's spectral radius.
-reduce_to_atoms traces out the cavity.
+reduce_to_atoms traces out the cavity; traced_x_entries reads only the
+four reduced X-state entries that a sweep needs off block states.
 """
 from __future__ import annotations
 
@@ -90,6 +91,20 @@ def reduce_to_atoms(states: np.ndarray, n_max: int = 1) -> np.ndarray:
     reduced[..., 1:, 1:] = states[..., :3, :3]
     reduced[..., IDX_GG, IDX_GG] += states[..., 3, 3]
     return reduced
+
+
+def traced_x_entries(states: np.ndarray) -> tuple:
+    """The cavity-traced X-state entries (rho_eg,eg, rho_ge,ge, rho_gg,gg,
+    rho_eg,ge) of an (n, 4, 4) stack of block states, all but rho_gg,gg as
+    views. The trace drops the |1,gg> coherences, so ValueError only if a
+    coherence of |0,gg> with |0,eg> or |0,ge> is nonzero, naming non-finite
+    states (a solver overflow) as the cause where there are any."""
+    if states[:, :2, 2].any() or states[:, 2, :2].any():
+        if not np.isfinite(states).all():
+            raise ValueError("the solver produced non-finite reduced states")
+        raise ValueError("reduced states are not X-states with an empty |ee> level")
+    return (states[:, 0, 0].real, states[:, 1, 1].real,
+            states[:, 2, 2].real + states[:, 3, 3].real, states[:, 0, 1])
 
 
 def evolve_grid(p: SystemParams, gts) -> EvolutionResult:

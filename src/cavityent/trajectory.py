@@ -9,16 +9,14 @@ of three sources:
   rk4       fixed-step RK4 integration of the master equation (cross-check)
 
 and reads (concurrence, linear entropy, maximal CHSH value, purity) off
-them in one read-out for every source. The analytic and spectral sources
-are evaluated in blocks of _BLOCK times, so their temporaries do not grow
-with the grid; RK4 carries each grid point on from the previous one and
-runs as one block. The numeric sources' (n, 4, 4) states must have the X
-pattern. Raw metrics must be finite and lie in their physical ranges
-within 1e-9; they are then clipped. The returned columns are read-only.
+them in one read-out for every source, in blocks of _BLOCK times whose
+temporaries do not grow with the grid; an RK4 block starts from t = 0.
+Numeric block states must trace to X-states (evolution.traced_x_entries).
+Raw metrics must be finite and lie in their physical ranges within 1e-9;
+they are then clipped. The columns are read-only.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,20 +39,17 @@ ANALYTIC = "analytic"
 SPECTRAL = "spectral"
 RK4 = "rk4"
 
-# times per block of a source whose grid points are independent: a block's
-# temporaries (the spectral source's (4096, 16) complex factor is 1 MiB)
-# then stay the same for every grid size
+# times per block, so a block's temporaries (1 MiB for the spectral factor
+# or the RK4 states, each (4096, 16) complex) are the same for every grid
 _BLOCK = 4096
 
-# each source's X-state entries and its block size, with the solvers looked
-# up at call time so that a wrapper installed on the module attribute sees
-# every call; RK4's one block is the whole grid
+# each source's X-state entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge)
+# at a block of times, with the functions looked up at call time so that a
+# wrapper installed on the module attribute sees every call
 _X_STATE_ENTRIES = {
-    ANALYTIC: (lambda p, gts: analytic.x_state_entries(p, gts), _BLOCK),
-    SPECTRAL: (lambda p, gts: _x_entries(
-        evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))), _BLOCK),
-    RK4: (lambda p, gts: _x_entries(
-        evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, gts))), sys.maxsize),
+    ANALYTIC: lambda p, gts: analytic.x_state_entries(p, gts),
+    SPECTRAL: lambda p, gts: evolution.traced_x_entries(evolution.evolve_spectral_grid(p, gts)),
+    RK4: lambda p, gts: evolution.traced_x_entries(evolution.evolve_rk4_grid(p, gts)),
 }
 SOURCES = tuple(_X_STATE_ENTRIES)
 
@@ -68,6 +63,15 @@ class Trajectory:
     linear_entropy: np.ndarray
     bell_max: np.ndarray
     purity: np.ndarray
+
+    def __post_init__(self):
+        # the plane tree is cached, so a column the caller can still write
+        # into is replaced by a read-only copy; read-only ones are kept
+        for name in ("gt", *_RANGES):
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.flags.writeable:
+                object.__setattr__(self, name, column := np.array(column))
+                column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.gt)
@@ -83,7 +87,7 @@ class Trajectory:
     def tree(self):
         """plane_tree over the (M, C) points, built at the first use and
         shared by the MEMS and Werner coverage, min_mems_distance and the
-        mirror score. sweep's columns are read-only, so it cannot go stale."""
+        mirror score. The columns are read-only, so it cannot go stale."""
         return plane_tree(self.plane_points())
 
 
@@ -111,24 +115,9 @@ def _clip_to_ranges(raw: dict) -> dict:
     return raw
 
 
-def _x_entries(states: np.ndarray) -> tuple:
-    """Views of the entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) of
-    an (n, 4, 4) stack of X-states with an empty |ee> level; ValueError if
-    any entry but the diagonal and the eg-ge coherence is nonzero, naming
-    non-finite states (a solver overflow) as the cause where there are any.
-    """
-    # |ee>, |eg>, |ge>, |gg> at indices 0..3; views, so the stack is not copied
-    off_x = (states[:, 0], states[:, :, 0], states[:, 1:3, 3], states[:, 3, 1:3])
-    if any(block.any() for block in off_x):
-        if not np.isfinite(states).all():
-            raise ValueError("the solver produced non-finite reduced states")
-        raise ValueError("reduced states are not X-states with an empty |ee> level")
-    return states[:, 1, 1].real, states[:, 2, 2].real, states[:, 3, 3].real, states[:, 1, 2]
-
-
 def _x_entry_readout(eg_eg, ge_ge, gg_gg, eg_ge) -> dict:
     """The four raw sweep metrics of X-states with an empty |ee> level, from
-    their entries (_x_entries), keyed like _RANGES.
+    their entries, keyed like _RANGES.
 
     C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
     singular values C (twice) and |T_zz|, T_zz = rho_gg - rho_eg - rho_ge,
@@ -148,11 +137,6 @@ def _x_entry_readout(eg_eg, ge_ge, gg_gg, eg_ge) -> dict:
     }
 
 
-def _x_state_readout(states: np.ndarray) -> dict:
-    """_x_entry_readout of an (n, 4, 4) stack, after _x_entries' check."""
-    return _x_entry_readout(*_x_entries(states))
-
-
 def sweep(
     p: SystemParams, gt_max: float, n_steps: int, source: str = ANALYTIC
 ) -> Trajectory:
@@ -164,17 +148,17 @@ def sweep(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     gts = np.linspace(0.0, gt_max, n_steps)
-    entries, block = _X_STATE_ENTRIES[source]
+    entries = _X_STATE_ENTRIES[source]
     raw = {name: np.empty(n_steps) for name in _RANGES}
     # an overflow shows up as non-finite states, which the read-out and the
     # range check report, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n_steps, block):
-            part = _x_entry_readout(*entries(p, gts[lo:lo + block]))
+        for lo in range(0, n_steps, _BLOCK):
+            part = _x_entry_readout(*entries(p, gts[lo:lo + _BLOCK]))
             for name, values in part.items():
-                raw[name][lo:lo + block] = values
+                raw[name][lo:lo + _BLOCK] = values
     columns = _clip_to_ranges(raw)
-    for column in (gts, *columns.values()):
+    for column in (gts, *columns.values()):  # so Trajectory does not copy them
         column.flags.writeable = False
     return Trajectory(params=p, source=source, gt=gts, **columns)
 

@@ -15,7 +15,9 @@ entry-by-entry build of it.
 
 Two-qubit references: the Werner and MEMS states, the eigenvalue route to
 the Wootters concurrence, the MEMS excess of sampled states and linear
-interpolation along a frontier curve.
+interpolation along a frontier curve. x_state_readout reads the sweep's
+four metrics off whole (n, 4, 4) reduced X-states, after checking every
+entry outside the X pattern.
 
 The references build on three small dense helpers: the Kronecker product
 tensor, the partial trace and the general 4x4 eigenvalue solver.
@@ -37,6 +39,7 @@ from cavityent.model import (
     SystemParams,
     check_times,
 )
+from cavityent.trajectory import _x_entry_readout
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -271,6 +274,24 @@ def rho_s_term_list(p: SystemParams, gt) -> np.ndarray:
     )
     x = sum(np.asarray(c)[..., None, None] * proj for c, proj in terms)
     return x + np.swapaxes(x, -1, -2).conj()
+
+
+def x_entries(states) -> tuple:
+    """Views of the entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) of
+    an (n, 4, 4) stack of reduced states; ValueError unless every entry but
+    the diagonal and the eg-ge coherence is zero (an X-state with an empty
+    |ee> level)."""
+    # |ee>, |eg>, |ge>, |gg> at indices 0..3
+    off_x = (states[:, 0], states[:, :, 0], states[:, 1:3, 3], states[:, 3, 1:3])
+    if any(block.any() for block in off_x):
+        raise ValueError("reduced states are not X-states with an empty |ee> level")
+    return states[:, 1, 1].real, states[:, 2, 2].real, states[:, 3, 3].real, states[:, 1, 2]
+
+
+def x_state_readout(states) -> dict:
+    """The sweep's raw metrics (trajectory._x_entry_readout) of an (n, 4, 4)
+    stack of reduced X-states, after x_entries' check."""
+    return _x_entry_readout(*x_entries(states))
 
 
 def werner_matrix(p_bell: float) -> np.ndarray:

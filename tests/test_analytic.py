@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cavityent import analytic, trajectory
+from cavityent import analytic
 from cavityent.model import IDX_EG, IDX_GG, SystemParams
 from oracles import BELL_MINUS
 
@@ -131,7 +131,7 @@ def sigma_zeta(p, gt):
     zeta = T_zz^2 from their diagonal, with the read-out's CHSH maximum
     checked against 2 sqrt(sigma + max(sigma, zeta))."""
     rho = analytic.rho_s_matrices(p, np.atleast_1d(gt))
-    raw = trajectory._x_state_readout(rho)
+    raw = oracles.x_state_readout(rho)
     conc, bell = raw["concurrence"], raw["bell_max"]
     d = np.diagonal(rho, axis1=1, axis2=2).real
     sig = conc**2
@@ -143,7 +143,7 @@ def sigma_zeta(p, gt):
 def bell_max_readout(p, gt):
     """CHSH maximum read off the closed-form reduced states."""
     states = analytic.rho_s_matrices(p, np.atleast_1d(gt))
-    return trajectory._x_state_readout(states)["bell_max"]
+    return oracles.x_state_readout(states)["bell_max"]
 
 
 class TestSigmaZeta:

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps the public functions of the cavityent modules it
 names and counts work in the functions listed in its COUNTERS. A library
 change that removes a traced module or a counted function, or changes a
 counted signature, breaks a traced benchmark run; this test makes it fail
-here instead.
+here instead. It sweeps every source through the traced names, as the
+benchmark's traced `evolve` runs do.
 """
 import json
 import os
@@ -34,6 +35,8 @@ states = analytic.rho_s_matrices(p, [0.0, 1.0])
 evolution.evolve_spectral_grid(p, [0.0, 1.0])
 evolution.evolve_rk4(p, 0.1)
 traj = trajectory.sweep(p, 1.0, 3)
+for source in (trajectory.SPECTRAL, trajectory.RK4):
+    trajectory.sweep(p, 1.0, 3, source=source)
 metrics.wootters_concurrence_many(states)
 metrics.bell_max_many(states)
 trajectory.min_mems_distance(traj)
@@ -46,7 +49,11 @@ for name in tracer.COUNTERS:
     if not isinstance(fn, types.FunctionType):
         missing.append(name)
 counted = sorted({s[0] for s in t.spans if s[4]})
-print(json.dumps({"code": code, "spans": cli_spans, "missing": missing,
+# the sweep sources look their functions up at call time, so each one is traced
+untraced = sorted({"analytic.x_state_entries", "evolution.evolve_spectral_grid",
+                   "evolution.evolve_rk4_grid", "evolution.traced_x_entries"}
+                  - {s[0] for s in t.spans})
+print(json.dumps({"code": code, "spans": cli_spans, "missing": missing, "untraced": untraced,
                   "counters": sorted(tracer.COUNTERS), "counted": counted,
                   "metrics": sorted(tracer.aggregate(t.spans))}))
 """
@@ -69,3 +76,4 @@ def test_tracer_installs_and_counts(tmp_path):
     assert result["missing"] == []
     assert result["counted"] == result["counters"]
     assert "frontier.mems_curve.calls" in result["metrics"]
+    assert result["untraced"] == []

@@ -4,7 +4,10 @@ import io
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +419,69 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# CLI contract: extreme flag values exit 0 or 2, and a rejection prints one
+# error line and writes nothing. Row counts stay small, because they allocate.
+EXTREME = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e300",
+                           "-1e300", "1e-300", "-1e-300", "0.5", "3"])
+COUNT = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "17"])
+VALID_COUNT = st.sampled_from(["2", "3", "17"])
+INTEGER = COUNT | st.sampled_from(["1e300", "nan", "1000", str(10**300)])
+
+
+def _flags(**strategies):
+    """Any subset of the flags, each with a drawn value."""
+    return st.tuples(*(st.none() | value.map(lambda v, f=flag: [f, v])
+                       for flag, value in strategies.items())).map(
+        lambda pairs: [arg for pair in pairs if pair for arg in pair])
+
+
+def _argv(*parts):
+    """argv strategy from fixed words and strategies of a word or a word list."""
+    return st.tuples(*(st.just(part) if isinstance(part, str) else part for part in parts)).map(
+        lambda drawn: [a for part in drawn for a in ([part] if isinstance(part, str) else part)])
+
+
+CLI_ARGVS = {
+    "evolve": _argv("evolve", "--n-steps", VALID_COUNT | COUNT, "--source",
+                    st.sampled_from(["analytic", "spectral", "rk4"]),
+                    _flags(**{"--delta": EXTREME, "--lambda": EXTREME, "--gamma": EXTREME,
+                              "--gt-max": EXTREME}), "-o", "{out}/t.csv"),
+    "figure": _argv("figure", st.sampled_from(["1a", "9z"]),
+                    _flags(**{"--n-points": COUNT, "--seed": INTEGER}),
+                    "--output-dir", "{out}/bundle"),
+    "frontier": _argv("frontier", "--kind", st.sampled_from(["werner", "mems", "bell"]),
+                      _flags(**{"--n-points": COUNT, "--seed": INTEGER}), "-o", "{out}/f.csv"),
+    "recurrences": _argv("recurrences", _flags(**{"--delta": EXTREME, "--k-max": COUNT,
+                                                  "--tol": EXTREME, "--q-max": INTEGER}),
+                         "-o", "{out}/r.csv"),
+}
+
+
+@pytest.mark.parametrize("command", CLI_ARGVS)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_contract(command, data):
+    argv = data.draw(CLI_ARGVS[command])
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main([a.format(out=out) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        written = [p for p in Path(out).rglob("*") if p.is_file()]
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2), lines
+    if code == 0:
+        assert lines == [] and written
+        return
+    assert written == []
+    # one error line from the library, or argparse's usage and error lines
+    if lines[0].startswith("usage: cavityent"):
+        assert lines[-1].startswith("cavityent ") and ": error: " in lines[-1]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -222,6 +222,29 @@ class TestReduceToAtoms:
             evolution.reduce_to_atoms(np.eye(8) / 8)
 
 
+class TestTracedXEntries:
+    STATES = evolution.evolve_spectral_grid(params(delta=0.5, lambda_=0.7, gamma=0.01),
+                                            np.linspace(0.0, 9.0, 4))
+
+    @pytest.mark.parametrize("entry, match", [(1e-300j, "X-states"), (np.nan, "non-finite")])
+    @pytest.mark.parametrize("i, j", [(0, 2), (1, 2), (2, 0), (2, 1)])
+    def test_rejects_ground_coherences(self, i, j, entry, match):
+        # |0,gg> with |0,eg> or |0,ge> becomes a reduced coherence outside
+        # the X pattern
+        bad = self.STATES.copy()
+        bad[2, i, j] = entry
+        with pytest.raises(ValueError, match=match):
+            evolution.traced_x_entries(bad)
+
+    def test_ignores_one_photon_coherences(self):
+        # the cavity trace drops every coherence of |1,gg>
+        for k in range(3):
+            for i, j in ((k, 3), (3, k)):
+                states = self.STATES.copy()
+                states[2, i, j] = 1e-300j
+                evolution.traced_x_entries(states)
+
+
 class TestDephasedOracle:
     def test_matches_closed_form_grid(self):
         gts = np.linspace(0, 500, 5001)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cavityent import analytic, metrics, trajectory
+from cavityent import analytic, metrics
 from cavityent.frontier import random_two_qubit_states
 from cavityent.model import SystemParams
-from oracles import BELL_PLUS, werner_matrix, wootters_concurrence_eigvals
+from oracles import BELL_PLUS, werner_matrix, wootters_concurrence_eigvals, x_state_readout
 
 METRICS = [
     metrics.wootters_concurrence_many,
@@ -126,7 +126,7 @@ class TestBellMax:
         gts = np.linspace(0, 80, 1500)
         rhos = analytic.rho_s_matrices(p, gts)
         got = metrics.bell_max_many(rhos)
-        want = trajectory._x_state_readout(rhos)["bell_max"]
+        want = x_state_readout(rhos)["bell_max"]
         assert np.abs(got - want).max() < 1e-10
 
     def test_tsirelson_bound_random(self):

@@ -9,7 +9,9 @@ the general routes on the states of every sweep source. The analytic
 sweep, read off the closed-form X-state entries, is compared exactly with
 the read-out of the closed-form (n, 4, 4) states. The entry-by-entry
 closed-form state is compared with the printed projector form. The RK4 solver is compared with the
-spectral one, with dephasing up to gamma = 1000. The runs are
+spectral one, with dephasing up to gamma = 1000. The four X-state entries
+that the numeric sweep sources read off block states are compared bit for
+bit with the entries of the cavity-traced matrices. The runs are
 derandomized, so every run checks the same examples.
 """
 import numpy as np
@@ -70,7 +72,7 @@ def test_closed_form_chsh_matches_correlation_matrix(p, gts):
     # correlation-matrix routes, on closed-form and spectral states
     spectral = evolution.reduce_to_atoms(evolution.evolve_spectral_grid(p, gts))
     for states in (analytic.rho_s_matrices(p, gts), spectral):
-        raw = trajectory._x_state_readout(states)
+        raw = oracles.x_state_readout(states)
         assert np.abs(raw["concurrence"] - metrics.wootters_concurrence_many(states)).max() < 1e-12
         assert np.abs(raw["bell_max"] - metrics.bell_max_many(states)).max() < 1e-12
 
@@ -95,8 +97,20 @@ def test_rk4_matches_spectral(p, gts):
     # RK4 keeps the reduced states X-shaped (or the read-out raises), and
     # the read-out's CHSH holds where RK4 drifts off trace one
     reduced = evolution.reduce_to_atoms(rk4)
-    bell = trajectory._x_state_readout(reduced)["bell_max"]
+    bell = oracles.x_state_readout(reduced)["bell_max"]
     assert np.abs(bell - metrics.bell_max_many(reduced)).max() < 1e-12
+
+
+@SETTINGS
+@given(p=stiff_params, gts=sorted_times,
+       solve=st.sampled_from([evolution.evolve_spectral_grid, evolution.evolve_rk4_grid]))
+def test_traced_entries_are_the_reduced_entries(p, gts, solve):
+    # the sweep reads the four entries straight off the block states, bit
+    # for bit what the cavity-traced matrices hold
+    states = solve(p, gts)
+    got = evolution.traced_x_entries(states)
+    for g, w in zip(got, oracles.x_entries(evolution.reduce_to_atoms(states))):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 resonant_or_detuned = st.builds(
@@ -117,7 +131,7 @@ def test_readout_purity_matches_general_routes(p, gts, source):
         solve = {trajectory.SPECTRAL: evolution.evolve_spectral_grid,
                  trajectory.RK4: evolution.evolve_rk4_grid}[source]
         states = evolution.reduce_to_atoms(solve(p, gts))
-    raw = trajectory._x_state_readout(states)
+    raw = oracles.x_state_readout(states)
     assert np.abs(raw["purity"] - metrics.purity_many(states)).max() < 1e-12
     assert np.abs(raw["linear_entropy"] - metrics.linear_entropy_many(states)).max() < 1e-12
 
@@ -131,6 +145,6 @@ def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
     # also across the sweep's blocks of 4096 times
     traj = trajectory.sweep(p, gt_max, n_steps)
     states = analytic.rho_s_matrices(p, traj.gt)
-    want = trajectory._clip_to_ranges(trajectory._x_state_readout(states))
+    want = trajectory._clip_to_ranges(oracles.x_state_readout(states))
     for name, column in want.items():
         assert np.array_equal(getattr(traj, name), column)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cavityent import analytic, evolution, frontier, metrics, trajectory
 from cavityent.frontier import TSIRELSON, coverage, mems_curve, werner_curve
 from cavityent.model import SystemParams
@@ -64,27 +65,32 @@ class TestSweep:
             trajectory.sweep(params(delta=0.5), 10.0, 11)
 
     def test_sweep_calls_no_general_metric(self, monkeypatch):
-        # all four columns come from the X-state read-out, for every source
+        # all four columns come from the X-state read-out, for every source,
+        # and the numeric sources read their entries straight off the block
+        # states, without building the cavity-traced matrices
         def refuse(*args, **kwargs):
-            raise AssertionError("sweep called a general metric")
+            raise AssertionError("sweep called a general metric or the cavity trace")
 
         names = [name for name, fn in vars(metrics).items()
                  if callable(fn) and getattr(fn, "__module__", None) == metrics.__name__]
         assert "purity_many" in names and "linear_entropy_many" in names
         for name in names:
             monkeypatch.setattr(metrics, name, refuse)
+        monkeypatch.setattr(evolution, "reduce_to_atoms", refuse)
         p = params(delta=0.5, lambda_=0.7, gamma=0.01)
         for source in trajectory.SOURCES:
             traj = trajectory.sweep(p, 5.0, 21, source=source)
             assert traj.purity[0] == pytest.approx(0.58)
 
     def test_readout_rejects_non_x_states(self):
+        # the tests' read-out of whole reduced stacks checks all 11 entries
+        # outside the X pattern
         general = frontier.random_two_qubit_states(8, np.random.default_rng(3))
         with pytest.raises(ValueError, match="X-states"):
-            trajectory._x_state_readout(general)
+            oracles.x_state_readout(general)
         # one tiny entry anywhere outside the X pattern is enough
         x = analytic.rho_s_matrices(params(delta=0.5, lambda_=0.7), np.linspace(0, 9, 4))
-        trajectory._x_state_readout(x)
+        oracles.x_state_readout(x)
         outside = [(i, j) for i in range(4) for j in range(4)
                    if 0 in (i, j) or {i, j} in ({1, 3}, {2, 3})]
         assert len(outside) == 11
@@ -92,7 +98,7 @@ class TestSweep:
             bad = x.copy()
             bad[2, i, j] = 1e-300j
             with pytest.raises(ValueError, match="X-states"):
-                trajectory._x_state_readout(bad)
+                oracles.x_state_readout(bad)
 
     @pytest.mark.parametrize("solver, source", [("evolve_spectral_grid", trajectory.SPECTRAL),
                                                 ("evolve_rk4_grid", trajectory.RK4)])
@@ -138,20 +144,55 @@ class TestSweep:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(traj, name)[0] = 0.5
 
-    def test_analytic_sweep_peak_memory(self):
-        # the closed form yields the four X-state entries block by block
-        # into the columns, which are clipped in place: the peak is one
-        # block's temporaries beside the five returned arrays
+    def test_direct_trajectory_does_not_go_stale(self):
+        # a write into the caller's arrays after a plane reduction must not
+        # leave the cached tree answering for other points than the columns
+        rng = np.random.default_rng(5)
+        m, c = rng.uniform(0.0, 8.0 / 9.0, 100), rng.uniform(0.0, 1.0, 100)
+        traj = plane_trajectory(m, c)
+        trajectory.min_mems_distance(traj)
+        c[:] = 0.0
+        fresh = plane_trajectory(traj.linear_entropy.copy(), traj.concurrence.copy())
+        assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
+
+    def test_trajectory_keeps_read_only_columns(self):
+        traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
+        again = trajectory.Trajectory(
+            params=traj.params, source=traj.source, gt=traj.gt, concurrence=traj.concurrence,
+            linear_entropy=traj.linear_entropy, bell_max=traj.bell_max, purity=traj.purity)
+        for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
+            assert getattr(again, name) is getattr(traj, name)
+
+    @pytest.mark.parametrize("source", trajectory.SOURCES)
+    def test_sweep_peak_memory(self, source):
+        # every source yields the four X-state entries block by block into
+        # the columns, which are clipped in place: the peak is one block's
+        # temporaries (1 MiB for a numeric source) beside the five returned arrays
         p = params(delta=0.5)
-        trajectory.sweep(p, 500.0, 101)
+        trajectory.sweep(p, 500.0, 101, source=source)
         tracemalloc.start()
         try:
-            traj = trajectory.sweep(p, 500.0, 50001)
+            traj = trajectory.sweep(p, 500.0, 50001, source=source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         returned = (traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity)
-        assert peak <= 2.0 * sum(column.nbytes for column in returned)
+        bound = 2.0 if source == trajectory.ANALYTIC else 2.5
+        assert peak <= bound * sum(column.nbytes for column in returned)
+
+    def test_rk4_sweep_across_blocks(self):
+        # each RK4 block is integrated from t = 0 on its own: across three
+        # blocks the sweep stays within RK4's tolerance of the spectral
+        # solution and close to one RK4 run carried over the whole grid
+        p = params(delta=0.5, lambda_=0.7, gamma=0.01)
+        n_steps = 2 * trajectory._BLOCK + 1
+        rk4 = trajectory.sweep(p, 500.0, n_steps, source=trajectory.RK4)
+        spectral = trajectory.sweep(p, 500.0, n_steps, source=trajectory.SPECTRAL)
+        reduced = evolution.reduce_to_atoms(evolution.evolve_rk4_grid(p, rk4.gt))
+        whole = trajectory._clip_to_ranges(oracles.x_state_readout(reduced))
+        for name, column in whole.items():
+            assert np.abs(getattr(rk4, name) - getattr(spectral, name)).max() < 1e-6
+            assert np.abs(getattr(rk4, name) - column).max() < 1e-9
 
     def test_non_finite_raw_metric_raises(self):
         # NaN fails every range comparison, so it is checked on its own
