@@ -65,6 +65,8 @@ class Trajectory:
     purity: np.ndarray
 
     def __post_init__(self):
+        if self.source not in SOURCES:
+            raise ValueError(f"unknown source {self.source!r}; expected one of {SOURCES}")
         # the plane tree is cached, so a column the caller can still write
         # into is replaced by a read-only copy; read-only ones are kept
         for name in ("gt", *_RANGES):
@@ -72,6 +74,10 @@ class Trajectory:
             if not isinstance(column, np.ndarray) or column.flags.writeable:
                 object.__setattr__(self, name, column := np.array(column))
                 column.flags.writeable = False
+            if column.ndim != 1 or len(column) != len(self.gt):
+                raise ValueError(
+                    f"{name} must be 1-D with one entry per time in gt, got shape {column.shape}"
+                )
 
     def __len__(self) -> int:
         return len(self.gt)
@@ -87,8 +93,17 @@ class Trajectory:
     def tree(self):
         """plane_tree over the (M, C) points, built at the first use and
         shared by the MEMS and Werner coverage, min_mems_distance and the
-        mirror score. The columns are read-only, so it cannot go stale."""
-        return plane_tree(self.plane_points())
+        mirror score. The tree keeps the read-only (n, 2) points it is built
+        over without copying them, and linear_entropy and concurrence are
+        then replaced by views of that array's two columns, so the
+        trajectory holds its (M, C) values once. The columns are read-only,
+        so the tree cannot go stale."""
+        points = self.plane_points()
+        points.flags.writeable = False
+        tree = plane_tree(points)
+        object.__setattr__(self, "linear_entropy", points[:, 0])
+        object.__setattr__(self, "concurrence", points[:, 1])
+        return tree
 
 
 _RANGE_SLACK = 1e-9
@@ -171,11 +186,18 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     the MEMS concurrence corresponding to the initial linear entropy; a
     small score means the pattern is close to mirror symmetric. The
     reflection is an isometry and its own inverse, so the two directed
-    distances are equal and one directed query gives the score; only the
-    reflected points whose distance bounds (frontier._distance_bounds) can
-    reach the largest one are queried exactly. Undefined for a pure initial
-    state, lambda = 0 or 1 (the initial linear entropy (8/3) lambda
-    (1 - lambda) is 0 and the axis degenerates).
+    distances are equal and one directed query gives the score.
+
+    The points are reflected in blocks of _BLOCK, so the temporaries do not
+    grow with the trajectory, and the score is kept as a running maximum.
+    Each block's distance bounds (frontier._distance_bounds) first raise it
+    to the block's largest sampled exact distance; then only the reflected
+    points whose upper bound reaches it are queried exactly, and none when
+    no bound does. The score is always an exact tree distance and a skipped
+    point's distance lies below it, so it equals the largest nearest
+    distance of all reflected points. Undefined for a pure initial state,
+    lambda = 0 or 1 (the initial linear entropy (8/3) lambda (1 - lambda)
+    is 0 and the axis degenerates).
     """
     if not 0.0 < traj.params.lambda_ < 1.0:
         raise ValueError("mirror axis undefined unless 0 < lambda_ < 1")
@@ -184,10 +206,16 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     m0 = float(traj.linear_entropy[0])
     axis = float(np.interp(m0, curve.points[:, 0], curve.points[:, 1])) / 2.0
     tree = traj.tree
-    reflected = tree.data.copy()
-    np.subtract(2.0 * axis, reflected[:, 1], out=reflected[:, 1])
-    lower, upper = _distance_bounds(tree, reflected)
-    return float(tree.query(reflected[upper >= lower.max()])[0].max())
+    score = 0.0
+    for lo in range(0, len(tree.data), _BLOCK):
+        reflected = tree.data[lo:lo + _BLOCK].copy()
+        np.subtract(2.0 * axis, reflected[:, 1], out=reflected[:, 1])
+        lower, upper = _distance_bounds(tree, reflected)
+        score = max(score, lower.max())
+        candidates = upper >= score
+        if candidates.any():
+            score = max(score, tree.query(reflected[candidates])[0].max())
+    return float(score)
 
 
 def initial_linear_entropy(p: SystemParams) -> float:

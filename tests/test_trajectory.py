@@ -1,8 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -162,6 +163,22 @@ class TestSweep:
             linear_entropy=traj.linear_entropy, bell_max=traj.bell_max, purity=traj.purity)
         for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
             assert getattr(again, name) is getattr(traj, name)
+
+    def test_trajectory_rejects_unknown_source(self):
+        traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
+        with pytest.raises(ValueError, match="source 'bogus'"):
+            dataclasses.replace(traj, source="bogus")
+
+    def test_trajectory_rejects_misshapen_columns(self):
+        # every column is 1-D with one entry per time: a short or 2-D column
+        # fails when the Trajectory is built, not inside a later reduction
+        traj = trajectory.sweep(params(delta=0.5), 10.0, 100)
+        for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
+            column = getattr(traj, name)
+            bad = [column[:, None], column[0]] + ([] if name == "gt" else [column[:50]])
+            for value in bad:
+                with pytest.raises(ValueError, match=f"^{name} must be 1-D"):
+                    dataclasses.replace(traj, **{name: value})
 
     @pytest.mark.parametrize("source", trajectory.SOURCES)
     def test_sweep_peak_memory(self, source):
@@ -367,12 +384,16 @@ def test_plane_analytics_match_brute_force(case):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([1, 2, 15, 16, 17]) | st.integers(18, 3000),
+    n=st.sampled_from([1, 2, 15, 16, 17, 2 * trajectory._BLOCK + 1]) | st.integers(18, 3000),
     repeats=st.integers(1, 3),
     duplicated=st.booleans(),
     shuffled=st.booleans(),
     pick=st.floats(0.0, 1.0),
 )
+# always a mirror over several blocks of _BLOCK points, in curve order, where
+# later blocks can leave no candidate
+@example(seed=0, n=2 * trajectory._BLOCK + 1, repeats=1, duplicated=False, shuffled=False, pick=0.5)
+@example(seed=1, n=2 * trajectory._BLOCK + 1, repeats=3, duplicated=True, shuffled=False, pick=0.5)
 def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, shuffled, pick):
     # a smooth closed-looking curve, retraced, with points doubled, in
     # curve order or shuffled: the distance bounds are tight for the first
@@ -475,6 +496,35 @@ def test_plane_reductions_share_one_tree(monkeypatch):
     trajectory.min_mems_distance(traj)
     trajectory.mirror_symmetry_check(traj, mems)
     assert built == [5001]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_mirror_score_working_memory(delta):
+    # the reflected points are scored block by block, so the mirror score's
+    # temporaries stay below the size of the (n, 2) plane array
+    traj = trajectory.sweep(params(delta=delta, lambda_=0.7), 500.0, 50001)
+    curve = mems_curve(257)
+    tree = traj.tree
+    tracemalloc.start()
+    try:
+        trajectory.mirror_symmetry_check(traj, curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tree.data.nbytes
+
+
+def test_plane_reductions_keep_one_copy_of_the_points():
+    # once the tree is built, the M and C columns are views of its points,
+    # bit for bit the sweep's values and still read-only
+    traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 5001)
+    swept = {name: getattr(traj, name).copy() for name in ("linear_entropy", "concurrence")}
+    trajectory.min_mems_distance(traj)
+    for name, values in swept.items():
+        column = getattr(traj, name)
+        assert np.shares_memory(traj.tree.data, column)
+        assert column.tobytes() == values.tobytes()
+        assert not column.flags.writeable
 
 
 class TestDephasedSweep:
