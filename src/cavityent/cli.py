@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,33 +38,6 @@ FIGURE_PRESETS: dict[str, dict] = {
     "4b": dict(delta=0.5, lambda_=1.0, gamma=0.01, gt_max=500.0, curves=("werner", "mems")),
     "4c": dict(delta=1.0, lambda_=1.0, gamma=0.01, gt_max=500.0, curves=("werner", "mems")),
 }
-
-
-@dataclass
-class RunConfig:
-    delta_over_g: float = 0.0
-    lambda_: float = 1.0
-    gamma_times_g: float = 0.0
-    gt_max: float = 50.0
-    n_steps: int | None = None
-    source: str = trajectory.ANALYTIC
-    output: str = "-"
-    timestamp: bool = True
-
-    def system_params(self) -> SystemParams:
-        # internal unit system: g = 1, so delta and gamma carry the flag
-        # values directly
-        return SystemParams(
-            g=1.0,
-            delta=self.delta_over_g,
-            lambda_=self.lambda_,
-            gamma=self.gamma_times_g,
-        )
-
-    def grid_points(self) -> int:
-        if self.n_steps is not None:
-            return self.n_steps
-        return 5001 if self.gt_max <= 50.0 else 50001
 
 
 # Largest row count of one output. Every sweep source and the CSV work in
@@ -118,8 +90,8 @@ def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: 
             out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-# config-file key -> (RunConfig field, type); the evolve flags store into
-# the same fields
+# config-file key -> (_run_sweep_to_csv keyword, type); the evolve flags
+# store into the same keywords
 _CONFIG_KEYS = {
     "delta": ("delta_over_g", float),
     "lambda": ("lambda_", float),
@@ -131,7 +103,7 @@ _CONFIG_KEYS = {
 
 
 def _load_config_file(path: str) -> dict:
-    """RunConfig fields from a key=value config file."""
+    """_run_sweep_to_csv keywords from a key=value config file."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -153,46 +125,61 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _run_sweep_to_csv(cfg: RunConfig, command: str):
-    p = cfg.system_params()
-    traj = trajectory.sweep(p, cfg.gt_max, cfg.grid_points(), cfg.source)
+def _run_sweep_to_csv(
+    output: str,
+    timestamp: bool,
+    command: str,
+    *,
+    delta_over_g: float = 0.0,
+    lambda_: float = 1.0,
+    gamma_times_g: float = 0.0,
+    gt_max: float = 50.0,
+    n_steps: int | None = None,
+    source: str = trajectory.ANALYTIC,
+):
+    if n_steps is None:
+        n_steps = 5001 if gt_max <= 50.0 else 50001
+    # internal unit system: g = 1, so delta and gamma carry the flag values
+    # directly
+    p = SystemParams(g=1.0, delta=delta_over_g, lambda_=lambda_, gamma=gamma_times_g)
+    traj = trajectory.sweep(p, gt_max, n_steps, source)
     meta = {
         "command": command,
-        "delta_over_g": _fmt(cfg.delta_over_g),
-        "lambda": _fmt(cfg.lambda_),
-        "gamma_times_g": _fmt(cfg.gamma_times_g),
-        "gt_max": _fmt(cfg.gt_max),
-        "n_steps": cfg.grid_points(),
-        "source": cfg.source,
+        "delta_over_g": _fmt(delta_over_g),
+        "lambda": _fmt(lambda_),
+        "gamma_times_g": _fmt(gamma_times_g),
+        "gt_max": _fmt(gt_max),
+        "n_steps": n_steps,
+        "source": source,
     }
     rows = np.column_stack(
         [traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity]
     )
-    _write_csv(cfg.output, meta, TRAJECTORY_HEADER, rows, cfg.timestamp)
+    _write_csv(output, meta, TRAJECTORY_HEADER, rows, timestamp)
 
 
 def cmd_evolve(args) -> int:
     fields = _load_config_file(args.config) if args.config else {}
     # the evolve flags default to SUPPRESS, so only flags actually given are
-    # in args, and they override the file; RunConfig supplies the rest
+    # in args, and they override the file; _run_sweep_to_csv's defaults
+    # supply the rest
     fields.update(
         (field, getattr(args, field))
         for field, _ in _CONFIG_KEYS.values()
         if hasattr(args, field)
     )
-    cfg = RunConfig(**fields, output=args.output, timestamp=not args.no_timestamp)
-    _run_sweep_to_csv(cfg, "evolve")
+    _run_sweep_to_csv(args.output, not args.no_timestamp, "evolve", **fields)
     return 0
 
 
-def _curve_for(kind: str, n_points: int) -> frontier.FrontierCurve:
-    if kind == frontier.WERNER:
-        return frontier.werner_curve(n_points)
-    if kind == frontier.MEMS_CM:
-        return frontier.mems_curve(n_points)
-    if kind == frontier.BELL_FRONTIER:
-        return frontier.bell_frontier(n_points=n_points)
-    raise ValueError(f"unknown frontier kind {kind!r}")
+# curve kind -> builder of that curve from a sample count, with the
+# functions looked up at call time so that a wrapper installed on the
+# module attribute sees every call
+_CURVE_BUILDERS = {
+    frontier.WERNER: lambda n: frontier.werner_curve(n),
+    frontier.MEMS_CM: lambda n: frontier.mems_curve(n),
+    frontier.BELL_FRONTIER: lambda n: frontier.bell_frontier(n_points=n),
+}
 
 
 def cmd_figure(args) -> int:
@@ -203,18 +190,18 @@ def cmd_figure(args) -> int:
     preset = FIGURE_PRESETS[args.tag]
     # every curve first: a rejected --n-points then costs no sweep and
     # leaves no partial bundle
-    curves = [_curve_for(kind, args.n_points) for kind in preset["curves"]]
+    curves = [_CURVE_BUILDERS[kind](args.n_points) for kind in preset["curves"]]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig(
+    _run_sweep_to_csv(
+        str(outdir / f"figure{args.tag}_trajectory.csv"),
+        not args.no_timestamp,
+        f"figure {args.tag}",
         delta_over_g=preset["delta"],
         lambda_=preset["lambda_"],
         gamma_times_g=preset["gamma"],
         gt_max=preset["gt_max"],
-        output=str(outdir / f"figure{args.tag}_trajectory.csv"),
-        timestamp=not args.no_timestamp,
     )
-    _run_sweep_to_csv(cfg, f"figure {args.tag}")
     for curve in curves:
         meta = {
             "command": f"figure {args.tag}",
@@ -232,7 +219,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    curve = _curve_for(args.kind, args.n_points)
+    curve = _CURVE_BUILDERS[args.kind](args.n_points)
     meta = {"command": "frontier", "kind": args.kind, "n_points": args.n_points}
     _write_csv(args.output, meta, FRONTIER_HEADER, curve.points, not args.no_timestamp)
     return 0
@@ -308,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(func=cmd_figure)
 
     fr = sub.add_parser("frontier", help="emit a reference frontier curve")
-    fr.add_argument("--kind", choices=(frontier.WERNER, frontier.MEMS_CM, frontier.BELL_FRONTIER),
-                    required=True)
+    fr.add_argument("--kind", choices=frontier.CURVE_KINDS, required=True)
     fr.add_argument("--n-points", type=_row_count, default=257)
     fr.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     add_common(fr)

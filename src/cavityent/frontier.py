@@ -209,39 +209,10 @@ def _polyline_resample(points: np.ndarray) -> np.ndarray:
     n = 4096
     seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] == 0.0:
-        return points[:1].repeat(n, axis=0)
     u = np.linspace(0.0, s[-1], n)
     x = np.interp(u, s, points[:, 0])
     y = np.interp(u, s, points[:, 1])
     return np.column_stack([x, y])
-
-
-def plane_tree(points):
-    """scipy ``cKDTree`` over (n, 2) plane points, for nearest-neighbour queries.
-
-    Built with compact_nodes=False and balanced_tree=False. A periodic
-    trajectory (Delta/Omega rational) retraces one closed curve many times,
-    so its points pile up in near-duplicates along it. Against such sets
-    scipy's default tree, with nodes shrunk to their points' bounding boxes
-    and splits at medians, answered nearest-neighbour queries 3 to 80 times
-    slower than this one (50 001-point sweeps at Delta = 0 and 1); on
-    quasi-periodic sets both are about as fast.
-
-    The leaves hold up to 64 points, not scipy's default 16: a tree over a
-    50 001-point sweep then takes about 0.55 MB beside its points, not
-    1.15 MB, and building it plus the four plane reductions, which query a
-    few thousand points after bounding the rest (_distance_bounds), took
-    160-200 ms instead of 205-225 ms over the four (Delta, lambda) sets of
-    perfbench/plane.py (four runs each).
-
-    scipy is imported here, at the first call, and not with the module: only
-    the plane analytics need it, so the CLI and everything else load numpy
-    alone.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points, leafsize=64, compact_nodes=False, balanced_tree=False)
 
 
 _BOUND_STRIDE = 16
@@ -286,13 +257,8 @@ def _distance_bounds(tree, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
-    """Epsilon-coverage of ``curve`` by the trajectory's plane points.
-
-    ``traj`` is a Trajectory (or anything with plane_points()) whose plane
-    coordinates match the curve kind: (M, C) for concurrence curves,
-    (M, |B|max) for the Bell frontier, or an (n, 2) array of plane points.
-    A concurrence curve is queried in the Trajectory's cached (M, C) tree;
-    the Bell frontier and an array get a tree of their own.
+    """Epsilon-coverage of a MEMS or Werner ``curve`` by a Trajectory's
+    (M, C) points, queried in its cached tree (``traj.tree``).
 
     The curve is resampled to 4096 points by arc length; the covered
     fraction is the share of them within epsilon of a trajectory point.
@@ -302,13 +268,11 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ValueError("epsilon must be positive and finite")
+    if curve.kind not in (MEMS_CM, WERNER):
+        raise ValueError(f"coverage needs a MEMS or Werner curve, not {curve.kind!r}")
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if curve.kind != BELL_FRONTIER and hasattr(traj, "tree"):
-        tree = traj.tree
-    else:
-        pts = traj.plane_points(curve.kind) if hasattr(traj, "plane_points") else np.asarray(traj, dtype=float)
-        tree = plane_tree(pts)
+    tree = traj.tree
     dense = _polyline_resample(curve.points)
     lower, upper = _distance_bounds(tree, dense)
     undecided = (lower <= epsilon) & (upper > epsilon)
@@ -332,8 +296,7 @@ def continued_fraction_convergents(x: Fraction, q_max: int) -> list[tuple[int, i
     p_cur, q_cur = a0, 1
     rem = x - a0
     while q_cur <= q_max:
-        if not convergents or (p_cur, q_cur) != convergents[-1]:
-            convergents.append((p_cur, q_cur))
+        convergents.append((p_cur, q_cur))
         if rem == 0:
             break
         x = 1 / rem
@@ -358,7 +321,7 @@ def classify_ratio(p: SystemParams, tol: float, q_max: int) -> RationalityReport
     if abs(ratio - best.numerator / best.denominator) < tol:
         # smallest convergent denominator already inside the tolerance
         for pq, q in convergents:
-            if q <= q_max and abs(ratio - pq / q) < tol:
+            if abs(ratio - pq / q) < tol:
                 best_q = q
                 break
         if best_q is None:

@@ -23,16 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic, evolution
-from .frontier import (
-    BELL_FRONTIER,
-    CURVE_KINDS,
-    MEMS_CM,
-    TSIRELSON,
-    FrontierCurve,
-    _distance_bounds,
-    mems_linear_entropy,
-    plane_tree,
-)
+from .frontier import MEMS_CM, TSIRELSON, FrontierCurve, _distance_bounds, mems_curve
 from .model import SystemParams, check_times
 
 ANALYTIC = "analytic"
@@ -67,13 +58,14 @@ class Trajectory:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}; expected one of {SOURCES}")
-        # the plane tree is cached, so a column the caller can still write
-        # into is replaced by a read-only copy; read-only ones are kept
+        # a column the caller can still write into is stored as a read-only
+        # view; the tree copies M and C when it is built (see tree)
         for name in ("gt", *_RANGES):
-            column = getattr(self, name)
-            if not isinstance(column, np.ndarray) or column.flags.writeable:
-                object.__setattr__(self, name, column := np.array(column))
+            column = np.asarray(getattr(self, name))
+            if column.flags.writeable:
+                column = column.view()
                 column.flags.writeable = False
+            object.__setattr__(self, name, column)
             if column.ndim != 1 or len(column) != len(self.gt):
                 raise ValueError(
                     f"{name} must be 1-D with one entry per time in gt, got shape {column.shape}"
@@ -82,28 +74,52 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.gt)
 
-    def plane_points(self, kind: str = "mems") -> np.ndarray:
-        """(M, C) points, or (M, |B|max) for the Bell frontier kind."""
-        if kind not in CURVE_KINDS:
-            raise ValueError(f"unknown plane kind {kind!r}; expected one of {CURVE_KINDS}")
-        value = self.bell_max if kind == BELL_FRONTIER else self.concurrence
-        return np.column_stack([self.linear_entropy, value])
+    def plane_points(self) -> np.ndarray:
+        """The (M, C) points, an (n, 2) array."""
+        return np.column_stack([self.linear_entropy, self.concurrence])
 
     @cached_property
     def tree(self):
         """plane_tree over the (M, C) points, built at the first use and
         shared by the MEMS and Werner coverage, min_mems_distance and the
-        mirror score. The tree keeps the read-only (n, 2) points it is built
-        over without copying them, and linear_entropy and concurrence are
-        then replaced by views of that array's two columns, so the
-        trajectory holds its (M, C) values once. The columns are read-only,
-        so the tree cannot go stale."""
+        mirror score. The tree keeps the fresh (n, 2) array of plane_points
+        it is built over without copying it, and linear_entropy and
+        concurrence are then replaced by read-only views of that array's two
+        columns: the trajectory holds its (M, C) values once, and no write
+        into the arrays it was given can make the tree stale."""
         points = self.plane_points()
         points.flags.writeable = False
         tree = plane_tree(points)
         object.__setattr__(self, "linear_entropy", points[:, 0])
         object.__setattr__(self, "concurrence", points[:, 1])
         return tree
+
+
+def plane_tree(points):
+    """scipy ``cKDTree`` over (n, 2) plane points, for nearest-neighbour queries.
+
+    Built with compact_nodes=False and balanced_tree=False. A periodic
+    trajectory (Delta/Omega rational) retraces one closed curve many times,
+    so its points pile up in near-duplicates along it. Against such sets
+    scipy's default tree, with nodes shrunk to their points' bounding boxes
+    and splits at medians, answered nearest-neighbour queries 3 to 80 times
+    slower than this one (50 001-point sweeps at Delta = 0 and 1); on
+    quasi-periodic sets both are about as fast.
+
+    The leaves hold up to 64 points, not scipy's default 16: a tree over a
+    50 001-point sweep then takes about 0.55 MB beside its points, not
+    1.15 MB, and building it plus the four plane reductions, which query a
+    few thousand points after bounding the rest (_distance_bounds), took
+    160-200 ms instead of 205-225 ms over the four (Delta, lambda) sets of
+    perfbench/plane.py (four runs each).
+
+    scipy is imported here, at the first call, and not with the module: only
+    the plane analytics need it, so the CLI and everything else load numpy
+    alone.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, leafsize=64, compact_nodes=False, balanced_tree=False)
 
 
 _RANGE_SLACK = 1e-9
@@ -172,10 +188,7 @@ def sweep(
             part = _x_entry_readout(*entries(p, gts[lo:lo + _BLOCK]))
             for name, values in part.items():
                 raw[name][lo:lo + _BLOCK] = values
-    columns = _clip_to_ranges(raw)
-    for column in (gts, *columns.values()):  # so Trajectory does not copy them
-        column.flags.writeable = False
-    return Trajectory(params=p, source=source, gt=gts, **columns)
+    return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
@@ -227,8 +240,7 @@ def min_mems_distance(traj: Trajectory) -> float:
     """Smallest Euclidean (M, C)-plane distance to the MEMS frontier,
     sampled at 4097 points; only the samples whose distance bounds
     (frontier._distance_bounds) can reach the smallest one are queried."""
-    c = np.linspace(1.0, 0.0, 4097)
-    curve_pts = np.column_stack([mems_linear_entropy(c), c])
+    curve_pts = mems_curve(4097).points
     tree = traj.tree
     lower, upper = _distance_bounds(tree, curve_pts)
     return float(tree.query(curve_pts[lower <= upper.min()])[0].min())

@@ -21,6 +21,10 @@ entry outside the X pattern.
 
 The references build on three small dense helpers: the Kronecker product
 tensor, the partial trace and the general 4x4 eigenvalue solver.
+
+plane_trajectory wraps given (M, C) arrays in a Trajectory, so that the
+plane reductions, which take nothing else, can be checked on point sets no
+sweep produces.
 """
 from math import prod
 from typing import Iterable, Sequence
@@ -39,7 +43,7 @@ from cavityent.model import (
     SystemParams,
     check_times,
 )
-from cavityent.trajectory import _x_entry_readout
+from cavityent.trajectory import ANALYTIC, Trajectory, _x_entry_readout
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -355,3 +359,16 @@ def curve_value_at(curve, m) -> np.ndarray:
         sq = np.interp(m, curve.points[:, 0], curve.points[:, 1] ** 2)
         return np.sqrt(sq)
     return np.interp(m, curve.points[:, 0], curve.points[:, 1])
+
+
+def plane_trajectory(m: np.ndarray, c: np.ndarray) -> Trajectory:
+    """Trajectory with the (M, C) points (m, c) and a mixed start."""
+    return Trajectory(
+        params=SystemParams(g=1.0, delta=0.5, lambda_=0.7),
+        source=ANALYTIC,
+        gt=np.arange(len(m), dtype=float),
+        concurrence=c,
+        linear_entropy=m,
+        bell_max=np.full(len(m), 2.0),
+        purity=1.0 - 0.75 * m,
+    )

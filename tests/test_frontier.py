@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import oracles
@@ -95,8 +97,8 @@ class TestFrontierCurve:
             frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [0.0, 0.5]]))
 
     def test_rejects_unknown_kind(self):
-        # coverage reads the kind to pick the plane; a typo must not fall
-        # back to the concurrence plane
+        # coverage and the mirror score read the kind to refuse a curve of
+        # another plane; a typo must not pass for one of theirs
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])
         for kind in ("bel", "MEMS", ""):
             with pytest.raises(ValueError, match="kind"):
@@ -282,20 +284,20 @@ class TestCoverage:
         )
 
     def test_full_coverage(self):
-        pts = np.column_stack([np.linspace(0, 1, 2000), np.linspace(1, 0, 2000)])
-        rep = frontier.coverage(pts, self.curve(), epsilon=0.01)
+        traj = oracles.plane_trajectory(np.linspace(0, 1, 2000), np.linspace(1, 0, 2000))
+        rep = frontier.coverage(traj, self.curve(), epsilon=0.01)
         assert rep.fraction_covered == 1.0
         assert rep.min_distance < 1e-3
 
     def test_partial_coverage(self):
         # points only over the first half of the diagonal
-        pts = np.column_stack([np.linspace(0, 0.5, 1000), np.linspace(1, 0.5, 1000)])
-        rep = frontier.coverage(pts, self.curve(), epsilon=0.01)
+        traj = oracles.plane_trajectory(np.linspace(0, 0.5, 1000), np.linspace(1, 0.5, 1000))
+        rep = frontier.coverage(traj, self.curve(), epsilon=0.01)
         assert 0.4 < rep.fraction_covered < 0.6
 
     def test_offset_trajectory(self):
-        pts = np.column_stack([np.linspace(0, 1, 500), np.linspace(1, 0, 500) - 0.1])
-        rep = frontier.coverage(pts, self.curve(), epsilon=0.05)
+        traj = oracles.plane_trajectory(np.linspace(0, 1, 500), np.linspace(1, 0, 500) - 0.1)
+        rep = frontier.coverage(traj, self.curve(), epsilon=0.05)
         assert rep.fraction_covered == 0.0
         assert rep.min_distance == pytest.approx(0.1 / np.sqrt(2), abs=1e-3)
 
@@ -304,18 +306,26 @@ class TestCoverage:
         # so the unpadded bounds d_a -/+ chord meet it up to rounding and
         # land on either side of an epsilon that is one of the distances
         curve = self.curve()
-        for target in ([1.2, -0.2], [-0.3, 1.3]):
-            pts = np.array([target])
-            dist = frontier.plane_tree(pts).query(frontier._polyline_resample(curve.points))[0]
+        for m, c in ([1.2, -0.2], [-0.3, 1.3]):
+            traj = oracles.plane_trajectory(np.array([m]), np.array([c]))
+            dist = traj.tree.query(frontier._polyline_resample(curve.points))[0]
             for epsilon in dist[1:64]:
-                rep = frontier.coverage(pts, curve, epsilon)
+                rep = frontier.coverage(traj, curve, epsilon)
                 assert rep.fraction_covered == np.mean(dist <= epsilon)
                 assert rep.min_distance == dist.min()
 
     def test_rejects_bad_epsilon(self):
+        traj = oracles.plane_trajectory(np.zeros(3), np.zeros(3))
         for epsilon in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
-                frontier.coverage(np.zeros((3, 2)), self.curve(), epsilon=epsilon)
+                frontier.coverage(traj, self.curve(), epsilon=epsilon)
+
+    def test_rejects_bell_frontier(self):
+        # coverage is measured in the (M, C) plane; the Bell frontier lies
+        # in the (M, |B|max) plane, so its distances to M and C mean nothing
+        traj = oracles.plane_trajectory(np.linspace(0, 1, 50), np.linspace(1, 0, 50))
+        with pytest.raises(ValueError, match="'bell'"):
+            frontier.coverage(traj, frontier.bell_frontier(), epsilon=0.01)
 
 
 class TestRationality:
@@ -325,6 +335,19 @@ class TestRationality:
         assert (3, 1) in conv
         assert (22, 7) in conv
         assert conv[-1] == (355, 113)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        x=st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+        q_max=st.integers(1, 10**4),
+    )
+    def test_convergents_distinct_bounded_and_exact(self, x, q_max):
+        conv = frontier.continued_fraction_convergents(x, q_max)
+        assert conv
+        assert len(set(conv)) == len(conv)
+        assert all(q <= q_max for _, q in conv)
+        if x.denominator <= q_max:
+            assert conv[-1] == (x.numerator, x.denominator)
 
     def test_exact_rational_ratio(self):
         # Delta/Omega = 1/2 exactly when Delta^2 = 8 g^2 / 3... floating point

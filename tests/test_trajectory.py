@@ -150,11 +150,22 @@ class TestSweep:
         # leave the cached tree answering for other points than the columns
         rng = np.random.default_rng(5)
         m, c = rng.uniform(0.0, 8.0 / 9.0, 100), rng.uniform(0.0, 1.0, 100)
-        traj = plane_trajectory(m, c)
+        traj = oracles.plane_trajectory(m, c)
         trajectory.min_mems_distance(traj)
         c[:] = 0.0
-        fresh = plane_trajectory(traj.linear_entropy.copy(), traj.concurrence.copy())
+        fresh = oracles.plane_trajectory(traj.linear_entropy.copy(), traj.concurrence.copy())
         assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
+
+    def test_direct_trajectory_keeps_no_copy(self):
+        # a writable column is stored as a read-only view of the caller's
+        # array, not copied: the tree copies M and C when it is built
+        rng = np.random.default_rng(6)
+        m, c = rng.uniform(0.0, 8.0 / 9.0, 100), rng.uniform(0.0, 1.0, 100)
+        traj = oracles.plane_trajectory(m, c)
+        for column, given in ((traj.linear_entropy, m), (traj.concurrence, c)):
+            assert np.shares_memory(column, given)
+            assert not column.flags.writeable
+        assert given.flags.writeable
 
     def test_trajectory_keeps_read_only_columns(self):
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
@@ -290,15 +301,8 @@ class TestPlanePatterns:
         traj = trajectory.sweep(params(delta=0.5), 10.0, 51)
         pts = traj.plane_points()
         assert pts.shape == (51, 2)
-        bell_pts = traj.plane_points("bell")
-        assert np.array_equal(bell_pts[:, 1], traj.bell_max)
-        assert np.array_equal(traj.plane_points("werner"), pts)
-
-    def test_plane_points_rejects_unknown_kind(self):
-        traj = trajectory.sweep(params(delta=0.5), 10.0, 51)
-        for kind in ("bel", "concurrence", ""):
-            with pytest.raises(ValueError, match="kind"):
-                traj.plane_points(kind)
+        assert np.array_equal(pts[:, 0], traj.linear_entropy)
+        assert np.array_equal(pts[:, 1], traj.concurrence)
 
 
 def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -317,25 +321,12 @@ def nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(out)
 
 
-def plane_trajectory(m: np.ndarray, c: np.ndarray) -> trajectory.Trajectory:
-    """Trajectory with the given (M, C) points and a mixed start."""
-    return trajectory.Trajectory(
-        params=params(delta=0.5, lambda_=0.7),
-        source=trajectory.ANALYTIC,
-        gt=np.arange(len(m), dtype=float),
-        concurrence=c,
-        linear_entropy=m,
-        bell_max=np.full(len(m), 2.0),
-        purity=1.0 - 0.75 * m,
-    )
-
-
 def random_trajectory(seed: int, n: int, repeats: int) -> trajectory.Trajectory:
     """n random (M, C) points, the whole set repeated ``repeats`` times."""
     rng = np.random.default_rng(seed)
     m = np.tile(rng.uniform(0.0, 8.0 / 9.0, n), repeats)
     c = np.tile(rng.uniform(0.0, 1.0, n), repeats)
-    return plane_trajectory(m, c)
+    return oracles.plane_trajectory(m, c)
 
 
 PLANE_CASES = {
@@ -394,6 +385,13 @@ def test_plane_analytics_match_brute_force(case):
 # later blocks can leave no candidate
 @example(seed=0, n=2 * trajectory._BLOCK + 1, repeats=1, duplicated=False, shuffled=False, pick=0.5)
 @example(seed=1, n=2 * trajectory._BLOCK + 1, repeats=3, duplicated=True, shuffled=False, pick=0.5)
+# the sizes around the 16-query stride of the distance bounds, on every run
+@example(seed=2, n=1, repeats=1, duplicated=False, shuffled=False, pick=0.5)
+@example(seed=3, n=2, repeats=2, duplicated=True, shuffled=False, pick=0.3)
+@example(seed=4, n=15, repeats=1, duplicated=False, shuffled=True, pick=0.7)
+@example(seed=5, n=16, repeats=1, duplicated=False, shuffled=False, pick=0.2)
+@example(seed=6, n=17, repeats=1, duplicated=False, shuffled=False, pick=0.9)
+@example(seed=7, n=17, repeats=2, duplicated=True, shuffled=True, pick=0.5)
 def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, shuffled, pick):
     # a smooth closed-looking curve, retraced, with points doubled, in
     # curve order or shuffled: the distance bounds are tight for the first
@@ -409,9 +407,9 @@ def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, 
     if shuffled:
         order = rng.permutation(len(m))
         m, c = m[order], c[order]
-    traj = plane_trajectory(m, c)
+    traj = oracles.plane_trajectory(m, c)
     pts = traj.plane_points()
-    tree = frontier.plane_tree(pts)
+    tree = trajectory.plane_tree(pts)
 
     curve = mems_curve(257)
     axis = np.interp(m[0], *curve.points.T) / 2.0
@@ -435,7 +433,7 @@ def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, 
 def test_distance_bounds_hold_in_any_order():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, (500, 2))
-    tree = frontier.plane_tree(pts)
+    tree = trajectory.plane_tree(pts)
     for n in (1, 2, 15, 16, 17, 1000):
         curve = np.column_stack([np.linspace(0, 1, n), np.linspace(1, 0, n) ** 2])
         for queries in (curve, rng.permutation(curve)):
@@ -451,7 +449,7 @@ def test_distance_bounds_hold_in_any_order():
 def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
     # on a periodic sweep the bounds decide most nearest distances, so each
     # reduction asks the tree about fewer than a third of its queries
-    build = frontier.plane_tree
+    build = trajectory.plane_tree
     asked = []
 
     class CountingTree:
@@ -463,7 +461,6 @@ def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
             asked[-1] += len(queries)
             return self.tree.query(queries, *args, **kwargs)
 
-    monkeypatch.setattr(frontier, "plane_tree", CountingTree)
     monkeypatch.setattr(trajectory, "plane_tree", CountingTree)
     traj = trajectory.sweep(params(delta=0.0, lambda_=0.7), 500.0, 50001)
     curve = mems_curve(257)
@@ -480,14 +477,13 @@ def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
 def test_plane_reductions_share_one_tree(monkeypatch):
     # the MEMS and Werner coverage, the MEMS distance and the mirror score
     # of one sweep all query the trajectory's one cached (M, C) tree
-    build = frontier.plane_tree
+    build = trajectory.plane_tree
     built = []
 
     def counting_build(points):
         built.append(len(points))
         return build(points)
 
-    monkeypatch.setattr(frontier, "plane_tree", counting_build)
     monkeypatch.setattr(trajectory, "plane_tree", counting_build)
     traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 5001)
     mems = mems_curve(257)
