@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import wootters_concurrence_many
 from .model import IDX_GG, SystemParams, check_times, hamiltonian, initial_state
 
 
@@ -207,6 +206,8 @@ def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
 
 def dephased_concurrence_oracle(p: SystemParams, gt):
     """Wootters concurrence of the cavity-traced spectral solution."""
+    from .metrics import wootters_concurrence_many  # only the oracles need it
+
     gts = np.atleast_1d(np.asarray(gt, dtype=float))
     reduced = reduce_to_atoms(evolve_spectral_grid(p, gts))
     out = wootters_concurrence_many(reduced)

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import linear_entropy_many, wootters_concurrence_many
 from .model import SystemParams
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -73,8 +72,6 @@ class RationalityReport:
 
 def werner_curve(n_points: int) -> FrontierCurve:
     """(M, C) curve of Werner states for p in [1/3, 1]."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     p = np.linspace(1.0, 1.0 / 3.0, n_points)  # M increases as p drops
     m = 1.0 - p * p
     c = (3.0 * p - 1.0) / 2.0
@@ -108,8 +105,6 @@ def mems_concurrence_at(m) -> np.ndarray:
 
 def mems_curve(n_points: int) -> FrontierCurve:
     """(M, C) frontier curve sampled over c in [0, 1]."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     c = np.linspace(1.0, 0.0, n_points)  # M increases as c drops
     m = mems_linear_entropy(c)
     return FrontierCurve(MEMS_CM, np.column_stack([m, c]))
@@ -132,6 +127,9 @@ def mems_oracle_excess(samples: int, seed: int, refine: int = 32) -> float:
     A positive return larger than ~1e-3 would mean the closed-form family
     is not actually the frontier.
     """
+    # imported here: only the oracles need the general-state metrics
+    from .metrics import linear_entropy_many, wootters_concurrence_many
+
     rng = np.random.default_rng(seed)
     states = random_two_qubit_states(samples, rng)
     m = linear_entropy_many(states)
@@ -191,8 +189,6 @@ def bell_frontier(n_points: int = 129) -> FrontierCurve:
     point M = 2/3 is moved onto it; two points are just the endpoints 0
     and 1.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     grid = np.linspace(0.0, 1.0, n_points)
     # keep the branch point an exact knot so squared-value interpolation
     # is exact on both branches; the endpoints stay 0 and 1
@@ -215,69 +211,29 @@ def _polyline_resample(points: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-_BOUND_STRIDE = 16
-
-
-def _distance_bounds(tree, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on every query's nearest distance in ``tree``.
-
-    Every 16th query and the last are answered by one ``tree.query``; their
-    bounds are that exact distance. The nearest distance d is 1-Lipschitz,
-    so a query q at chord |q - q_a| from its left sample q_a (index
-    16 (i // 16)) has d_a - |q - q_a| <= d(q) <= d_a + |q - q_a|, in any
-    query order; the bounds are tight where consecutive queries are close.
-    Each bound is padded outward by 1e-12 relative plus 1e-12 absolute, so
-    that rounding in the tree's distances and in the chord cannot move a
-    bound past the exact distance; a bound that does not clear a threshold
-    by the pad leaves that query to be answered exactly.
-
-    The reductions over the bounds stay exact: they call ``tree.query`` on
-    every query that attains or could attain their result, and a KD-tree
-    answers each query independently of the rest of its batch.
-    """
-    n = len(queries)
-    samples = np.union1d(np.arange(0, n, _BOUND_STRIDE), [n - 1])
-    exact = tree.query(queries[samples])[0]
-    left = np.arange(n) // _BOUND_STRIDE
-    d_left = exact[left]
-    left *= _BOUND_STRIDE
-    step = queries - queries[left]
-    chord = np.hypot(step[:, 0], step[:, 1])
-    # pad = 1e-12 (d_left + chord) + 1e-12, lower = d_left - chord - pad and
-    # upper = d_left + chord + pad, in that order, with one temporary each
-    pad = d_left + chord
-    pad *= 1e-12
-    pad += 1e-12
-    lower = d_left - chord
-    lower -= pad
-    upper = np.add(d_left, chord, out=d_left)
-    upper += pad
-    lower[samples] = upper[samples] = exact
-    return lower, upper
-
-
 def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
     """Epsilon-coverage of a MEMS or Werner ``curve`` by a Trajectory's
-    (M, C) points, queried in its cached tree (``traj.tree``).
+    (M, C) points.
 
     The curve is resampled to 4096 points by arc length; the covered
     fraction is the share of them within epsilon of a trajectory point.
-    Only resampled points whose distance bounds (_distance_bounds) leave
-    open the minimum or the side of epsilon are queried exactly, so both
-    numbers equal those of querying all 4096.
+    Only resampled points whose distance bounds (traj.distance_bounds)
+    leave open the minimum or the side of epsilon are queried exactly
+    (traj.nearest_distances), so both numbers equal those of all 4096
+    exact distances.
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ValueError("epsilon must be positive and finite")
     if curve.kind not in (MEMS_CM, WERNER):
         raise ValueError(f"coverage needs a MEMS or Werner curve, not {curve.kind!r}")
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    tree = traj.tree
+    # one question before the resample builds the trajectory's index first,
+    # so its large arrays are not placed above the resample's in the heap
+    traj.nearest_distances(curve.points[:1])
     dense = _polyline_resample(curve.points)
-    lower, upper = _distance_bounds(tree, dense)
+    lower, upper = traj.distance_bounds(dense)
     undecided = (lower <= epsilon) & (upper > epsilon)
     queried = undecided | (lower <= upper.min())
-    dist = tree.query(dense[queried])[0]
+    dist = traj.nearest_distances(dense[queried])
     # a point left unqueried is covered exactly when its upper bound is
     covered = np.count_nonzero(dist <= epsilon) + np.count_nonzero(upper[~queried] <= epsilon)
     # uniform arc-length resampling: covered fraction is a sample mean

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic, evolution
-from .frontier import MEMS_CM, TSIRELSON, FrontierCurve, _distance_bounds, mems_curve
+from .frontier import MEMS_CM, TSIRELSON, FrontierCurve, mems_curve
 from .model import SystemParams, check_times
 
 ANALYTIC = "analytic"
@@ -33,6 +33,7 @@ RK4 = "rk4"
 # times per block, so a block's temporaries (1 MiB for the spectral factor
 # or the RK4 states, each (4096, 16) complex) are the same for every grid
 _BLOCK = 4096
+_BOUND_STRIDE = 16
 
 # each source's X-state entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge)
 # at a block of times, with the functions looked up at call time so that a
@@ -70,29 +71,68 @@ class Trajectory:
                 raise ValueError(
                     f"{name} must be 1-D with one entry per time in gt, got shape {column.shape}"
                 )
+        if len(self.gt) == 0:
+            raise ValueError("a trajectory needs at least one time")
 
     def __len__(self) -> int:
         return len(self.gt)
-
-    def plane_points(self) -> np.ndarray:
-        """The (M, C) points, an (n, 2) array."""
-        return np.column_stack([self.linear_entropy, self.concurrence])
 
     @cached_property
     def tree(self):
         """plane_tree over the (M, C) points, built at the first use and
         shared by the MEMS and Werner coverage, min_mems_distance and the
-        mirror score. The tree keeps the fresh (n, 2) array of plane_points
+        mirror score. The tree keeps the fresh (n, 2) array of (M, C) points
         it is built over without copying it, and linear_entropy and
         concurrence are then replaced by read-only views of that array's two
         columns: the trajectory holds its (M, C) values once, and no write
         into the arrays it was given can make the tree stale."""
-        points = self.plane_points()
+        points = np.column_stack([self.linear_entropy, self.concurrence])
         points.flags.writeable = False
         tree = plane_tree(points)
         object.__setattr__(self, "linear_entropy", points[:, 0])
         object.__setattr__(self, "concurrence", points[:, 1])
         return tree
+
+    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
+        """Exact distance from each (M, C) query to its nearest point."""
+        return self.tree.query(queries)[0]
+
+    def distance_bounds(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on every query's nearest distance.
+
+        Every 16th query and the last are answered by one nearest_distances
+        call; their bounds are that exact distance. The nearest distance d
+        is 1-Lipschitz, so a query q at chord |q - q_a| from its left sample
+        q_a (index 16 (i // 16)) has d_a - |q - q_a| <= d(q) <= d_a + |q - q_a|,
+        in any query order; the bounds are tight where consecutive queries
+        are close. Each bound is padded outward by 1e-12 relative plus 1e-12
+        absolute, so that rounding in the tree's distances and in the chord
+        cannot move a bound past the exact distance; a bound that does not
+        clear a threshold by the pad leaves that query to be answered exactly.
+
+        The reductions over the bounds stay exact: they call nearest_distances
+        on every query that attains or could attain their result, and a
+        KD-tree answers each query independently of the rest of its batch.
+        """
+        n = len(queries)
+        samples = np.union1d(np.arange(0, n, _BOUND_STRIDE), [n - 1])
+        exact = self.nearest_distances(queries[samples])
+        left = np.arange(n) // _BOUND_STRIDE
+        d_left = exact[left]
+        left *= _BOUND_STRIDE
+        step = queries - queries[left]
+        chord = np.hypot(step[:, 0], step[:, 1])
+        # pad = 1e-12 (d_left + chord) + 1e-12, lower = d_left - chord - pad and
+        # upper = d_left + chord + pad, in that order, with one temporary each
+        pad = d_left + chord
+        pad *= 1e-12
+        pad += 1e-12
+        lower = d_left - chord
+        lower -= pad
+        upper = np.add(d_left, chord, out=d_left)
+        upper += pad
+        lower[samples] = upper[samples] = exact
+        return lower, upper
 
 
 def plane_tree(points):
@@ -109,7 +149,7 @@ def plane_tree(points):
     The leaves hold up to 64 points, not scipy's default 16: a tree over a
     50 001-point sweep then takes about 0.55 MB beside its points, not
     1.15 MB, and building it plus the four plane reductions, which query a
-    few thousand points after bounding the rest (_distance_bounds), took
+    few thousand points after bounding the rest (Trajectory.distance_bounds), took
     160-200 ms instead of 205-225 ms over the four (Delta, lambda) sets of
     perfbench/plane.py (four runs each).
 
@@ -203,31 +243,35 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
 
     The points are reflected in blocks of _BLOCK, so the temporaries do not
     grow with the trajectory, and the score is kept as a running maximum.
-    Each block's distance bounds (frontier._distance_bounds) first raise it
-    to the block's largest sampled exact distance; then only the reflected
-    points whose upper bound reaches it are queried exactly, and none when
-    no bound does. The score is always an exact tree distance and a skipped
-    point's distance lies below it, so it equals the largest nearest
-    distance of all reflected points. Undefined for a pure initial state,
-    lambda = 0 or 1 (the initial linear entropy (8/3) lambda (1 - lambda)
-    is 0 and the axis degenerates).
+    Each block's distance bounds (Trajectory.distance_bounds) first raise
+    it to the block's largest sampled exact distance; then only the
+    reflected points whose upper bound reaches it are queried exactly, and
+    none when no bound does. The score is always an exact tree distance and
+    a skipped point's distance lies below it, so it equals the largest
+    nearest distance of all reflected points. Undefined for a pure initial
+    state, lambda = 0 or 1 (the initial linear entropy (8/3) lambda
+    (1 - lambda) is 0 and the axis degenerates), and for an initial linear
+    entropy outside the curve's span, where interpolation would clamp.
     """
     if not 0.0 < traj.params.lambda_ < 1.0:
         raise ValueError("mirror axis undefined unless 0 < lambda_ < 1")
     if curve.kind != MEMS_CM:
         raise ValueError(f"mirror axis is defined by the MEMS curve, not {curve.kind!r}")
     m0 = float(traj.linear_entropy[0])
+    m_lo, m_hi = curve.points[0, 0], curve.points[-1, 0]
+    if not m_lo <= m0 <= m_hi:
+        raise ValueError(f"m0 = {m0} lies outside the MEMS curve's span [{m_lo}, {m_hi}]")
     axis = float(np.interp(m0, curve.points[:, 0], curve.points[:, 1])) / 2.0
-    tree = traj.tree
     score = 0.0
-    for lo in range(0, len(tree.data), _BLOCK):
-        reflected = tree.data[lo:lo + _BLOCK].copy()
+    for lo in range(0, len(traj), _BLOCK):
+        hi = lo + _BLOCK
+        reflected = np.column_stack([traj.linear_entropy[lo:hi], traj.concurrence[lo:hi]])
         np.subtract(2.0 * axis, reflected[:, 1], out=reflected[:, 1])
-        lower, upper = _distance_bounds(tree, reflected)
+        lower, upper = traj.distance_bounds(reflected)
         score = max(score, lower.max())
         candidates = upper >= score
         if candidates.any():
-            score = max(score, tree.query(reflected[candidates])[0].max())
+            score = max(score, traj.nearest_distances(reflected[candidates]).max())
     return float(score)
 
 
@@ -239,11 +283,10 @@ def initial_linear_entropy(p: SystemParams) -> float:
 def min_mems_distance(traj: Trajectory) -> float:
     """Smallest Euclidean (M, C)-plane distance to the MEMS frontier,
     sampled at 4097 points; only the samples whose distance bounds
-    (frontier._distance_bounds) can reach the smallest one are queried."""
+    (Trajectory.distance_bounds) can reach the smallest one are queried."""
     curve_pts = mems_curve(4097).points
-    tree = traj.tree
-    lower, upper = _distance_bounds(tree, curve_pts)
-    return float(tree.query(curve_pts[lower <= upper.min()])[0].min())
+    lower, upper = traj.distance_bounds(curve_pts)
+    return float(traj.nearest_distances(curve_pts[lower <= upper.min()]).min())
 
 
 __all__ = [

@@ -292,6 +292,23 @@ class TestFigure:
         assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("n_points", ["1", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["figure", "1a", "--output-dir", "{out}"],
+    ["frontier", "--kind", "mems", "-o", "{out}/f.csv"],
+    ["frontier", "--kind", "werner", "-o", "{out}/f.csv"],
+    ["frontier", "--kind", "bell", "-o", "{out}/f.csv"],
+], ids=["figure-1a", "frontier-mems", "frontier-werner", "frontier-bell"])
+def test_too_few_curve_points_exit_2(tmp_path, capsys, argv, n_points):
+    # FrontierCurve (or numpy's linspace, for a negative count) refuses the
+    # curve before any sweep or file write
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in argv] + ["--n-points", n_points]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 HUGE = str(10**15)
 
 
@@ -390,6 +407,12 @@ def test_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "[]"
 
 
+# the general-state metrics serve only the oracles and the tests
+_LOADED_METRICS = (
+    "print(sorted(m for m in sys.modules if m in ('cavityent.metrics', 'cavityent.linalg')))"
+)
+
+
 def test_cli_runs_load_no_scipy(tmp_path):
     runs = [
         ["figure", "1a", "--output-dir", str(tmp_path)],
@@ -403,16 +426,19 @@ def test_cli_runs_load_no_scipy(tmp_path):
     ]
     code = (
         "import sys\n"
+        "from cavityent import frontier, trajectory\n"
+        f"{_LOADED_METRICS}\n"
         "from cavityent.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         f"{_LOADED_SCIPY}\n"
+        f"{_LOADED_METRICS}\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]", "[]"]
 
 
 def test_version(capsys):

@@ -308,7 +308,7 @@ class TestCoverage:
         curve = self.curve()
         for m, c in ([1.2, -0.2], [-0.3, 1.3]):
             traj = oracles.plane_trajectory(np.array([m]), np.array([c]))
-            dist = traj.tree.query(frontier._polyline_resample(curve.points))[0]
+            dist = traj.nearest_distances(frontier._polyline_resample(curve.points))
             for epsilon in dist[1:64]:
                 rep = frontier.coverage(traj, curve, epsilon)
                 assert rep.fraction_covered == np.mean(dist <= epsilon)

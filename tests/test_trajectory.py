@@ -287,6 +287,12 @@ class TestPlanePatterns:
         with pytest.raises(ValueError, match="MEMS"):
             trajectory.mirror_symmetry_check(traj, werner_curve(101))
 
+    def test_mirror_check_rejects_m0_outside_the_curve(self):
+        # interpolation would clamp M = 0.95 to the curve's end at 8/9
+        traj = oracles.plane_trajectory(np.array([0.95, 0.5]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match=r"m0 = 0\.95 .*\[0\.0, 0\.888"):
+            trajectory.mirror_symmetry_check(traj, mems_curve(5))
+
     def test_entropy_dip_below_initial_for_low_lambda(self):
         # lambda = 0.6 dips below its starting mixedness, 0.7 and 0.9 do not
         dips = {}
@@ -297,9 +303,9 @@ class TestPlanePatterns:
             dips[lam] = float(traj.linear_entropy.min()) < m0 - 1e-6
         assert dips == {0.6: True, 0.7: False, 0.9: False}
 
-    def test_plane_points_shape(self):
+    def test_tree_holds_the_plane_points(self):
         traj = trajectory.sweep(params(delta=0.5), 10.0, 51)
-        pts = traj.plane_points()
+        pts = traj.tree.data
         assert pts.shape == (51, 2)
         assert np.array_equal(pts[:, 0], traj.linear_entropy)
         assert np.array_equal(pts[:, 1], traj.concurrence)
@@ -345,7 +351,7 @@ PLANE_CASES = {
 @pytest.mark.parametrize("case", PLANE_CASES)
 def test_plane_analytics_match_brute_force(case):
     traj = PLANE_CASES[case]()
-    pts = traj.plane_points()
+    pts = np.column_stack([traj.linear_entropy, traj.concurrence])
     for curve in (mems_curve(257), werner_curve(257)):
         dist = nearest_distances(frontier._polyline_resample(curve.points), pts)
         rep = coverage(traj, curve, epsilon=0.02)
@@ -370,6 +376,22 @@ def test_plane_analytics_match_brute_force(case):
     assert trajectory.mirror_symmetry_check(traj, curve) == pytest.approx(
         hausdorff, abs=1e-12
     )
+
+
+def test_empty_trajectory_is_refused_when_built():
+    # so no plane reduction meets one, where coverage would have no nearest
+    # distance, min_mems_distance would read inf and the mirror score would
+    # find no initial point; one point is enough for all three
+    with pytest.raises(ValueError, match="at least one time"):
+        oracles.plane_trajectory(np.empty(0), np.empty(0))
+    traj = oracles.plane_trajectory(np.array([0.3]), np.array([0.4]))
+    curve = mems_curve(257)
+    for value in (
+        coverage(traj, curve, epsilon=0.02).min_distance,
+        trajectory.min_mems_distance(traj),
+        trajectory.mirror_symmetry_check(traj, curve),
+    ):
+        assert np.isfinite(value)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -408,20 +430,19 @@ def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, 
         order = rng.permutation(len(m))
         m, c = m[order], c[order]
     traj = oracles.plane_trajectory(m, c)
-    pts = traj.plane_points()
-    tree = trajectory.plane_tree(pts)
+    pts = np.column_stack([m, c])
 
     curve = mems_curve(257)
     axis = np.interp(m[0], *curve.points.T) / 2.0
     reflected = pts * [1.0, -1.0] + [0.0, 2.0 * axis]
-    assert trajectory.mirror_symmetry_check(traj, curve) == tree.query(reflected)[0].max()
+    assert trajectory.mirror_symmetry_check(traj, curve) == traj.nearest_distances(reflected).max()
 
     c_knots = np.linspace(1.0, 0.0, 4097)
     mems_pts = np.column_stack([frontier.mems_linear_entropy(c_knots), c_knots])
-    assert trajectory.min_mems_distance(traj) == tree.query(mems_pts)[0].min()
+    assert trajectory.min_mems_distance(traj) == traj.nearest_distances(mems_pts).min()
 
     for curve in (mems_curve(257), werner_curve(257)):
-        dist = tree.query(frontier._polyline_resample(curve.points))[0]
+        dist = traj.nearest_distances(frontier._polyline_resample(curve.points))
         # epsilon exactly one of the distances: the bound straddles it
         epsilon = float(np.sort(dist)[int(pick * (len(dist) - 1))])
         assume(epsilon > 0.0)
@@ -433,12 +454,12 @@ def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, 
 def test_distance_bounds_hold_in_any_order():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, (500, 2))
-    tree = trajectory.plane_tree(pts)
+    traj = oracles.plane_trajectory(pts[:, 0], pts[:, 1])
     for n in (1, 2, 15, 16, 17, 1000):
         curve = np.column_stack([np.linspace(0, 1, n), np.linspace(1, 0, n) ** 2])
         for queries in (curve, rng.permutation(curve)):
-            lower, upper = frontier._distance_bounds(tree, queries)
-            exact = tree.query(queries)[0]
+            lower, upper = traj.distance_bounds(queries)
+            exact = traj.nearest_distances(queries)
             assert np.all(lower <= exact) and np.all(exact <= upper)
             # every 16th query and the last are answered exactly
             sampled = np.union1d(np.arange(0, n, 16), [n - 1])
@@ -492,6 +513,20 @@ def test_plane_reductions_share_one_tree(monkeypatch):
     trajectory.min_mems_distance(traj)
     trajectory.mirror_symmetry_check(traj, mems)
     assert built == [5001]
+
+
+def test_coverage_builds_the_tree_before_the_resample(monkeypatch):
+    # with the resample's arrays live while the tree is built, the
+    # plane-analysis benchmark's peak RSS rose by 0.2 to 0.4 MB
+    traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 501)
+    resample = frontier._polyline_resample
+
+    def checked(points):
+        assert "tree" in vars(traj)
+        return resample(points)
+
+    monkeypatch.setattr(frontier, "_polyline_resample", checked)
+    coverage(traj, mems_curve(257), epsilon=0.02)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5])
