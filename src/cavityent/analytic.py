@@ -85,10 +85,9 @@ def rho_s_matrices(p: SystemParams, gt) -> np.ndarray:
 
 def concurrence_dephased(p: SystemParams, gt):
     """Closed-form concurrence lambda*sqrt(A^2 + B^2) under pure phase
-    decoherence at rate gamma: 2|rho_eg,ge| of the X-state (Wootters), with
-    lambda A = 2(c+ - c-) and lambda B = 2 Im c_x (x_state_entries)."""
-    c_plus, c_minus, _, c_cross = _reduced_coeffs(p, check_times(gt))
-    out = 2.0 * np.hypot(c_plus - c_minus, c_cross.imag)
+    decoherence at rate gamma: 2|rho_eg,ge| of x_state_entries (Wootters),
+    the sweep's own expression; lambda A = 2(c+ - c-), lambda B = 2 Im c_x."""
+    out = 2.0 * np.abs(x_state_entries(p, gt)[3])
     return out if out.ndim else float(out)
 
 

@@ -23,20 +23,23 @@ TRAJECTORY_HEADER = "gt,concurrence,linear_entropy,bell_max,purity"
 FRONTIER_HEADER = "linear_entropy,value"
 RECURRENCE_HEADER = "k,gt,concurrence"
 
-# parameters exactly as printed in the figure captions
-FIGURE_PRESETS: dict[str, dict] = {
-    "1a": dict(delta=0.0, lambda_=1.0, gamma=0.0, gt_max=50.0, curves=("werner", "mems")),
-    "1b": dict(delta=0.5, lambda_=1.0, gamma=0.0, gt_max=50.0, curves=("werner", "mems")),
-    "1c": dict(delta=5.0, lambda_=1.0, gamma=0.0, gt_max=50.0, curves=("werner", "mems")),
-    "2a": dict(delta=0.5, lambda_=0.9, gamma=0.0, gt_max=500.0, curves=("werner", "mems")),
-    "2b": dict(delta=0.5, lambda_=0.7, gamma=0.0, gt_max=500.0, curves=("werner", "mems")),
-    "2c": dict(delta=0.5, lambda_=0.6, gamma=0.0, gt_max=500.0, curves=("werner", "mems")),
-    "3a": dict(delta=0.0, lambda_=1.0, gamma=0.0, gt_max=500.0, curves=("bell",)),
-    "3b": dict(delta=0.01, lambda_=1.0, gamma=0.0, gt_max=500.0, curves=("bell",)),
-    "3c": dict(delta=5.0, lambda_=1.0, gamma=0.0, gt_max=500.0, curves=("bell",)),
-    "4a": dict(delta=0.0, lambda_=1.0, gamma=0.01, gt_max=500.0, curves=("werner", "mems")),
-    "4b": dict(delta=0.5, lambda_=1.0, gamma=0.01, gt_max=500.0, curves=("werner", "mems")),
-    "4c": dict(delta=1.0, lambda_=1.0, gamma=0.01, gt_max=500.0, curves=("werner", "mems")),
+_PLANE_CURVES = (frontier.WERNER, frontier.MEMS_CM)
+_BELL_CURVES = (frontier.BELL_FRONTIER,)
+# parameters exactly as printed in the figure captions: tag -> (the
+# _run_sweep_to_csv keywords of the trajectory, the curve kinds)
+FIGURE_PRESETS: dict[str, tuple[dict, tuple[str, ...]]] = {
+    "1a": (dict(delta_over_g=0.0, lambda_=1.0, gamma_times_g=0.0, gt_max=50.0), _PLANE_CURVES),
+    "1b": (dict(delta_over_g=0.5, lambda_=1.0, gamma_times_g=0.0, gt_max=50.0), _PLANE_CURVES),
+    "1c": (dict(delta_over_g=5.0, lambda_=1.0, gamma_times_g=0.0, gt_max=50.0), _PLANE_CURVES),
+    "2a": (dict(delta_over_g=0.5, lambda_=0.9, gamma_times_g=0.0, gt_max=500.0), _PLANE_CURVES),
+    "2b": (dict(delta_over_g=0.5, lambda_=0.7, gamma_times_g=0.0, gt_max=500.0), _PLANE_CURVES),
+    "2c": (dict(delta_over_g=0.5, lambda_=0.6, gamma_times_g=0.0, gt_max=500.0), _PLANE_CURVES),
+    "3a": (dict(delta_over_g=0.0, lambda_=1.0, gamma_times_g=0.0, gt_max=500.0), _BELL_CURVES),
+    "3b": (dict(delta_over_g=0.01, lambda_=1.0, gamma_times_g=0.0, gt_max=500.0), _BELL_CURVES),
+    "3c": (dict(delta_over_g=5.0, lambda_=1.0, gamma_times_g=0.0, gt_max=500.0), _BELL_CURVES),
+    "4a": (dict(delta_over_g=0.0, lambda_=1.0, gamma_times_g=0.01, gt_max=500.0), _PLANE_CURVES),
+    "4b": (dict(delta_over_g=0.5, lambda_=1.0, gamma_times_g=0.01, gt_max=500.0), _PLANE_CURVES),
+    "4c": (dict(delta_over_g=1.0, lambda_=1.0, gamma_times_g=0.01, gt_max=500.0), _PLANE_CURVES),
 }
 
 
@@ -47,13 +50,15 @@ MAX_ROWS = 10**6
 
 
 def _row_count(text: str) -> int:
-    """A row count no larger than MAX_ROWS: the type of --n-steps,
-    --n-points and --k-max and of the n_steps config key, so a huge count
-    exits 2 before any work or file write."""
+    """A row count from 0 to MAX_ROWS: the type of --n-steps, --n-points
+    and --k-max and of the n_steps config key, so a negative or huge count
+    exits 2, naming its flag or key, before any work or file write."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a row count must be nonnegative, got {n}")
     if n > MAX_ROWS:
         raise argparse.ArgumentTypeError(f"{n} rows exceed the limit of {MAX_ROWS}")
     return n
@@ -178,50 +183,39 @@ def cmd_evolve(args) -> int:
 _CURVE_BUILDERS = {
     frontier.WERNER: lambda n: frontier.werner_curve(n),
     frontier.MEMS_CM: lambda n: frontier.mems_curve(n),
-    frontier.BELL_FRONTIER: lambda n: frontier.bell_frontier(n_points=n),
+    frontier.BELL_FRONTIER: lambda n: frontier.bell_frontier(n),
 }
+
+
+def _write_curve_csv(path: str, timestamp: bool, command: str, curve: frontier.FrontierCurve):
+    """The curve CSV of both `figure` and `frontier`."""
+    meta = {"command": command, "kind": curve.kind, "n_points": len(curve.points)}
+    _write_csv(path, meta, FRONTIER_HEADER, curve.points, timestamp)
 
 
 def cmd_figure(args) -> int:
     if args.tag not in FIGURE_PRESETS:
-        raise ValueError(
-            f"unknown figure tag {args.tag!r}; known: {sorted(FIGURE_PRESETS)}"
-        )
-    preset = FIGURE_PRESETS[args.tag]
+        raise ValueError(f"unknown figure tag {args.tag!r}; known: {sorted(FIGURE_PRESETS)}")
+    settings, kinds = FIGURE_PRESETS[args.tag]
     # every curve first: a rejected --n-points then costs no sweep and
     # leaves no partial bundle
-    curves = [_CURVE_BUILDERS[kind](args.n_points) for kind in preset["curves"]]
+    curves = [_CURVE_BUILDERS[kind](args.n_points) for kind in kinds]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    command = f"figure {args.tag}"
+    timestamp = not args.no_timestamp
     _run_sweep_to_csv(
-        str(outdir / f"figure{args.tag}_trajectory.csv"),
-        not args.no_timestamp,
-        f"figure {args.tag}",
-        delta_over_g=preset["delta"],
-        lambda_=preset["lambda_"],
-        gamma_times_g=preset["gamma"],
-        gt_max=preset["gt_max"],
+        str(outdir / f"figure{args.tag}_trajectory.csv"), timestamp, command, **settings
     )
     for curve in curves:
-        meta = {
-            "command": f"figure {args.tag}",
-            "kind": curve.kind,
-            "n_points": args.n_points,
-        }
-        _write_csv(
-            str(outdir / f"figure{args.tag}_{curve.kind}.csv"),
-            meta,
-            FRONTIER_HEADER,
-            curve.points,
-            not args.no_timestamp,
-        )
+        path = str(outdir / f"figure{args.tag}_{curve.kind}.csv")
+        _write_curve_csv(path, timestamp, command, curve)
     return 0
 
 
 def cmd_frontier(args) -> int:
     curve = _CURVE_BUILDERS[args.kind](args.n_points)
-    meta = {"command": "frontier", "kind": args.kind, "n_points": args.n_points}
-    _write_csv(args.output, meta, FRONTIER_HEADER, curve.points, not args.no_timestamp)
+    _write_curve_csv(args.output, not args.no_timestamp, "frontier", curve)
     return 0
 
 

@@ -45,7 +45,7 @@ class FrontierCurve:
             raise ValueError(f"unknown curve kind {self.kind!r}; expected one of {CURVE_KINDS}")
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("curve needs an (n, 2) array with n >= 2")
+            raise ValueError(f"curve needs an (n, 2) array with n >= 2, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("curve points must be finite")
         if np.any(np.diff(pts[:, 0]) <= 0):
@@ -181,7 +181,7 @@ def bell_envelope_candidate(m) -> np.ndarray:
     )
 
 
-def bell_frontier(n_points: int = 129) -> FrontierCurve:
+def bell_frontier(n_points: int) -> FrontierCurve:
     """Upper envelope of the maximal CHSH value vs linear entropy.
 
     The closed-form envelope (bell_envelope_candidate) on a uniform M grid

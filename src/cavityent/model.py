@@ -111,19 +111,3 @@ def initial_state(p: SystemParams) -> np.ndarray:
     """rho(0) on the block: vacuum cavity, atom 1 excited with weight
     lambda_, atom 2 ground."""
     return np.diag([p.lambda_, 0.0, 1.0 - p.lambda_, 0.0]).astype(complex)
-
-
-__all__ = [
-    "SystemParams",
-    "check_times",
-    "hamiltonian",
-    "initial_state",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SPIN_FLIP",
-    "IDX_EE",
-    "IDX_EG",
-    "IDX_GE",
-    "IDX_GG",
-]

@@ -287,16 +287,3 @@ def min_mems_distance(traj: Trajectory) -> float:
     curve_pts = mems_curve(4097).points
     lower, upper = traj.distance_bounds(curve_pts)
     return float(traj.nearest_distances(curve_pts[lower <= upper.min()]).min())
-
-
-__all__ = [
-    "ANALYTIC",
-    "SPECTRAL",
-    "RK4",
-    "SOURCES",
-    "Trajectory",
-    "sweep",
-    "mirror_symmetry_check",
-    "initial_linear_entropy",
-    "min_mems_distance",
-]

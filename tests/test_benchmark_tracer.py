@@ -5,7 +5,8 @@ names and counts work in the functions listed in its COUNTERS. A library
 change that removes a traced module or a counted function, or changes a
 counted signature, breaks a traced benchmark run; this test makes it fail
 here instead. It sweeps every source through the traced names, as the
-benchmark's traced `evolve` runs do.
+benchmark's traced `evolve` runs do, and runs `figure` and `frontier`
+through the traced CLI.
 """
 import json
 import os
@@ -24,7 +25,10 @@ t = tracer.Tracer()
 t.install()
 code = cavityent.cli.main(["frontier", "--kind", "mems", "--n-points", "3",
                            "--no-timestamp", "-o", sys.argv[1]])
+code |= cavityent.cli.main(["figure", "1a", "--n-points", "3", "--no-timestamp",
+                            "--output-dir", sys.argv[2]])
 cli_spans = len(t.spans)
+cli_names = sorted({s[0] for s in t.spans})
 
 from cavityent import analytic, evolution, frontier, metrics, trajectory
 from cavityent.model import SystemParams
@@ -53,7 +57,8 @@ counted = sorted({s[0] for s in t.spans if s[4]})
 untraced = sorted({"analytic.x_state_entries", "evolution.evolve_spectral_grid",
                    "evolution.evolve_rk4_grid", "evolution.traced_x_entries"}
                   - {s[0] for s in t.spans})
-print(json.dumps({"code": code, "spans": cli_spans, "missing": missing, "untraced": untraced,
+print(json.dumps({"code": code, "spans": cli_spans, "cli_names": cli_names,
+                  "missing": missing, "untraced": untraced,
                   "counters": sorted(tracer.COUNTERS), "counted": counted,
                   "metrics": sorted(tracer.aggregate(t.spans))}))
 """
@@ -64,7 +69,7 @@ def test_tracer_installs_and_counts(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     out = tmp_path / "mems.csv"
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(out)],
+        [sys.executable, "-c", SCRIPT, str(out), str(tmp_path / "figure")],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -72,6 +77,10 @@ def test_tracer_installs_and_counts(tmp_path):
     assert result["code"] == 0
     assert out.read_text().count("\n") > 3
     assert result["spans"] > 0
+    # the figure run calls the curve builders and the sweep by their traced names
+    assert {"frontier.werner_curve", "frontier.mems_curve", "trajectory.sweep"} <= set(
+        result["cli_names"]
+    )
     # every counter names a function that still exists, and each one fired
     assert result["missing"] == []
     assert result["counted"] == result["counters"]

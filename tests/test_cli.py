@@ -285,6 +285,31 @@ class TestFigure:
     def test_unknown_tag_exit_2(self, tmp_path):
         assert main(["figure", "9z", "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("tag, evolve_flags", [
+        ("1a", ["--delta", "0", "--lambda", "1", "--gamma", "0", "--gt-max", "50"]),
+        ("3b", ["--delta", "0.01", "--lambda", "1", "--gamma", "0", "--gt-max", "500"]),
+        ("4c", ["--delta", "1", "--lambda", "1", "--gamma", "0.01", "--gt-max", "500"]),
+    ])
+    def test_bundle_is_evolve_and_frontier_output(self, tmp_path, tag, evolve_flags):
+        # figure writes through the evolve and frontier writers: each file
+        # equals theirs but for the command line
+        assert main(["figure", tag, "--output-dir", str(tmp_path / "fig"),
+                     "--n-points", "33", "--no-timestamp"]) == 0
+        bundle = sorted((tmp_path / "fig").iterdir())
+        assert len(bundle) >= 2
+        for path in bundle:
+            kind = path.stem.split("_")[1]
+            ref = tmp_path / f"{kind}.csv"
+            if kind == "trajectory":
+                argv = ["evolve", *evolve_flags]
+            else:
+                argv = ["frontier", "--kind", kind, "--n-points", "33"]
+            assert main(argv + ["--no-timestamp", "-o", str(ref)]) == 0
+            got, want = path.read_text().splitlines(), ref.read_text().splitlines()
+            assert got[1] == f"# command = figure {tag}"
+            assert want[1] == f"# command = {argv[0]}"
+            assert got[:1] + got[2:] == want[:1] + want[2:]
+
     @pytest.mark.parametrize("tag", ["1a", "3a"])
     def test_rejected_n_points_writes_nothing(self, tmp_path, tag):
         assert main(["figure", tag, "--n-points", "1",
@@ -300,12 +325,21 @@ class TestFigure:
     ["frontier", "--kind", "bell", "-o", "{out}/f.csv"],
 ], ids=["figure-1a", "frontier-mems", "frontier-werner", "frontier-bell"])
 def test_too_few_curve_points_exit_2(tmp_path, capsys, argv, n_points):
-    # FrontierCurve (or numpy's linspace, for a negative count) refuses the
-    # curve before any sweep or file write
+    # a negative count stops at argparse, naming the flag; FrontierCurve
+    # refuses 0 or 1 points, naming the count; both before any sweep or
+    # file write
     out = tmp_path / "out"
-    assert main([a.format(out=out) for a in argv] + ["--n-points", n_points]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    argv = [a.format(out=out) for a in argv] + ["--n-points", n_points]
+    if n_points == "-1":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--n-points" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"got shape ({n_points}, 2)" in lines[0]
     assert not out.exists()
 
 
@@ -340,9 +374,10 @@ def test_row_count_type():
     assert MAX_ROWS == 10**6
     assert _row_count("50001") == 50001
     assert _row_count(str(MAX_ROWS)) == MAX_ROWS
-    # the lower bounds stay with the library calls, which exit 2 on them
+    # counts from 0 pass; the library calls refuse those too small for them
+    assert _row_count("0") == 0
     assert _row_count("1") == 1
-    for bad in (str(MAX_ROWS + 1), HUGE, "2.5", "many"):
+    for bad in ("-1", str(MAX_ROWS + 1), HUGE, "2.5", "many"):
         with pytest.raises(argparse.ArgumentTypeError):
             _row_count(bad)
 

@@ -325,7 +325,7 @@ class TestCoverage:
         # in the (M, |B|max) plane, so its distances to M and C mean nothing
         traj = oracles.plane_trajectory(np.linspace(0, 1, 50), np.linspace(1, 0, 50))
         with pytest.raises(ValueError, match="'bell'"):
-            frontier.coverage(traj, frontier.bell_frontier(), epsilon=0.01)
+            frontier.coverage(traj, frontier.bell_frontier(129), epsilon=0.01)
 
 
 class TestRationality:

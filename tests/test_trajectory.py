@@ -565,6 +565,17 @@ class TestDephasedSweep:
         want = analytic.concurrence_dephased(p, traj.gt)
         assert np.abs(traj.concurrence - want).max() < 1e-12
 
+    @pytest.mark.parametrize("delta, lambda_, gamma", [
+        (0.5, 0.7, 0.0), (0.0, 1.0, 0.0), (5.0, 0.6, 0.0), (1.0, 0.9, 0.01), (-2.0, 0.3, 0.2),
+    ])
+    def test_concurrence_is_the_closed_form_bit_for_bit(self, delta, lambda_, gamma):
+        # the closed form is the sweep's own 2|rho_eg,ge|, so what the tests
+        # and the acceptance gate check is exactly what a CSV prints
+        p = params(delta=delta, lambda_=lambda_, gamma=gamma)
+        traj = trajectory.sweep(p, 500.0, 50001)
+        want = np.clip(analytic.concurrence_dephased(p, traj.gt), 0.0, 1.0)
+        assert np.array_equal(traj.concurrence, want)
+
     def test_purity_decays_toward_stationary_mixture(self):
         p = params(delta=0.0, gamma=0.05)
         traj = trajectory.sweep(p, 2000.0, 2001)
