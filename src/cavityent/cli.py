@@ -229,8 +229,8 @@ def cmd_recurrences(args) -> int:
         "k_max": args.k_max,
         "ratio_delta_over_omega": _fmt(report.ratio),
         "classification": report.classification,
-        "tol": _fmt(report.tol),
-        "q_max": report.q_max,
+        "tol": _fmt(args.tol),
+        "q_max": args.q_max,
         "best_q": report.best_q if report.best_q is not None else "none",
         "convergents": ";".join(f"{pq}/{q}" for pq, q in report.convergents[:12]),
     }

@@ -33,11 +33,9 @@ class StepSizeError(RuntimeError):
 class EvolutionResult:
     """Spectral-evolution trajectory of block states.
 
-    times    scaled times gt (increasing)
     states   array (n_times, 4, 4) of block density matrices
     """
 
-    times: np.ndarray
     states: np.ndarray
 
 
@@ -111,7 +109,7 @@ def evolve_grid(p: SystemParams, gts) -> EvolutionResult:
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     if np.any(np.diff(gts) <= 0):
         raise ValueError("times must be strictly increasing")
-    return EvolutionResult(times=gts, states=evolve_spectral_grid(p, gts))
+    return EvolutionResult(states=evolve_spectral_grid(p, gts))
 
 
 def _rk4_propagator(p: SystemParams, t: float, n_steps: int) -> np.ndarray:

@@ -55,7 +55,6 @@ class FrontierCurve:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    epsilon: float
     min_distance: float
     fraction_covered: float
 
@@ -63,8 +62,6 @@ class CoverageReport:
 @dataclass(frozen=True)
 class RationalityReport:
     ratio: float
-    tol: float
-    q_max: int
     convergents: list[tuple[int, int]]
     best_q: int | None
     classification: str
@@ -119,10 +116,10 @@ def random_two_qubit_states(n: int, rng: np.random.Generator) -> np.ndarray:
     return (1.0 - x) * pure + x * np.eye(4)[None] / 4.0
 
 
-def mems_oracle_excess(samples: int, seed: int, refine: int = 32) -> float:
+def mems_oracle_excess(samples: int, seed: int) -> float:
     """Optimization oracle for the MEMS curve.
 
-    Draws seeded random states, locally perturbs the ones closest to the
+    Draws seeded random states, locally perturbs the 32 closest to the
     frontier, and reports the worst excess of concurrence over the curve.
     A positive return larger than ~1e-3 would mean the closed-form family
     is not actually the frontier.
@@ -137,7 +134,7 @@ def mems_oracle_excess(samples: int, seed: int, refine: int = 32) -> float:
     gap = mems_concurrence_at(np.clip(m, 0.0, 8.0 / 9.0)) - c
     worst = -float(gap.min())
     # hill-climb from the closest states
-    for idx in np.argsort(gap)[:refine]:
+    for idx in np.argsort(gap)[:32]:
         rho = states[idx]
         best_gap = gap[idx]
         scale = 0.02  # shrunk by 0.9 after each rejected step
@@ -238,7 +235,6 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
     covered = np.count_nonzero(dist <= epsilon) + np.count_nonzero(upper[~queried] <= epsilon)
     # uniform arc-length resampling: covered fraction is a sample mean
     return CoverageReport(
-        epsilon=float(epsilon),
         min_distance=float(dist.min()),
         fraction_covered=covered / len(dense),
     )
@@ -287,8 +283,6 @@ def classify_ratio(p: SystemParams, tol: float, q_max: int) -> RationalityReport
     )
     return RationalityReport(
         ratio=ratio,
-        tol=tol,
-        q_max=q_max,
         convergents=convergents,
         best_q=best_q,
         classification=classification,

@@ -5,8 +5,9 @@ names and counts work in the functions listed in its COUNTERS. A library
 change that removes a traced module or a counted function, or changes a
 counted signature, breaks a traced benchmark run; this test makes it fail
 here instead. It sweeps every source through the traced names, as the
-benchmark's traced `evolve` runs do, and runs `figure` and `frontier`
-through the traced CLI.
+benchmark's traced `evolve` runs do, reads the report fields that
+perfbench/plane.py reads, and runs `figure` and `frontier` through the
+traced CLI.
 """
 import json
 import os
@@ -45,6 +46,10 @@ metrics.wootters_concurrence_many(states)
 metrics.bell_max_many(states)
 trajectory.min_mems_distance(traj)
 trajectory.mirror_symmetry_check(traj, frontier.mems_curve(5))
+# read the report fields that perfbench/plane.py writes: a missing one raises
+cov = frontier.coverage(traj, frontier.mems_curve(5), 0.02)
+cov.fraction_covered, cov.min_distance
+frontier.classify_ratio(p, tol=1e-6, q_max=1000).classification
 
 missing = []
 for name in tracer.COUNTERS:
@@ -59,6 +64,7 @@ untraced = sorted({"analytic.x_state_entries", "evolution.evolve_spectral_grid",
                   - {s[0] for s in t.spans})
 print(json.dumps({"code": code, "spans": cli_spans, "cli_names": cli_names,
                   "missing": missing, "untraced": untraced,
+                  "names": sorted({s[0] for s in t.spans}),
                   "counters": sorted(tracer.COUNTERS), "counted": counted,
                   "metrics": sorted(tracer.aggregate(t.spans))}))
 """
@@ -86,3 +92,4 @@ def test_tracer_installs_and_counts(tmp_path):
     assert result["counted"] == result["counters"]
     assert "frontier.mems_curve.calls" in result["metrics"]
     assert result["untraced"] == []
+    assert {"frontier.coverage", "frontier.classify_ratio"} <= set(result["names"])

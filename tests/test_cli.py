@@ -57,14 +57,6 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert "gt,concurrence" in captured.out
 
-    def test_seeded_runs_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["evolve", "--delta", "0.5", "--gamma", "0.01", "--gt-max", "20",
-                "--n-steps", "201", "--no-timestamp"]
-        assert main(args + ["-o", str(a)]) == 0
-        assert main(args + ["-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_timestamp_breaks_identity_metadata(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["evolve", "--gt-max", "1", "--n-steps", "3", "-o", str(out)])
@@ -310,20 +302,15 @@ class TestFigure:
             assert want[1] == f"# command = {argv[0]}"
             assert got[:1] + got[2:] == want[:1] + want[2:]
 
-    @pytest.mark.parametrize("tag", ["1a", "3a"])
-    def test_rejected_n_points_writes_nothing(self, tmp_path, tag):
-        assert main(["figure", tag, "--n-points", "1",
-                     "--output-dir", str(tmp_path / "bundle")]) == 2
-        assert not list(tmp_path.rglob("*.csv"))
-
 
 @pytest.mark.parametrize("n_points", ["1", "0", "-1"])
 @pytest.mark.parametrize("argv", [
     ["figure", "1a", "--output-dir", "{out}"],
+    ["figure", "3a", "--output-dir", "{out}"],
     ["frontier", "--kind", "mems", "-o", "{out}/f.csv"],
     ["frontier", "--kind", "werner", "-o", "{out}/f.csv"],
     ["frontier", "--kind", "bell", "-o", "{out}/f.csv"],
-], ids=["figure-1a", "frontier-mems", "frontier-werner", "frontier-bell"])
+], ids=["figure-1a", "figure-3a", "frontier-mems", "frontier-werner", "frontier-bell"])
 def test_too_few_curve_points_exit_2(tmp_path, capsys, argv, n_points):
     # a negative count stops at argparse, naming the flag; FrontierCurve
     # refuses 0 or 1 points, naming the count; both before any sweep or

@@ -131,11 +131,6 @@ class TestWerner:
         assert abs(rho.trace() - 1.0) < 1e-14
         assert np.linalg.eigvalsh(rho).min() >= 0.0
 
-    def test_endpoints(self):
-        curve = frontier.werner_curve(101)
-        assert curve.points[0] == pytest.approx([0.0, 1.0])
-        assert curve.points[-1] == pytest.approx([8.0 / 9.0, 0.0])
-
     def test_curve_matches_state_functionals(self):
         for p in [0.4, 0.7, 1.0]:
             rho = oracles.werner_matrix(p)
@@ -207,9 +202,6 @@ class TestMems:
         lower = (m > 16.0 / 27.0) & (m < 0.8)
         assert gap[upper].min() < 1e-3
         assert gap[lower].min() < 1e-3
-
-    def test_oracle_excess_small(self):
-        assert frontier.mems_oracle_excess(20_000, seed=3, refine=8) <= 1e-3
 
 
 class TestBellFrontier:
