@@ -223,9 +223,6 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
         raise ValueError("epsilon must be positive and finite")
     if curve.kind not in (MEMS_CM, WERNER):
         raise ValueError(f"coverage needs a MEMS or Werner curve, not {curve.kind!r}")
-    # one question before the resample builds the trajectory's index first,
-    # so its large arrays are not placed above the resample's in the heap
-    traj.nearest_distances(curve.points[:1])
     dense = _polyline_resample(curve.points)
     lower, upper = traj.distance_bounds(dense)
     undecided = (lower <= epsilon) & (upper > epsilon)

@@ -51,26 +51,30 @@ class Trajectory:
     params: SystemParams
     source: str
     gt: np.ndarray
-    concurrence: np.ndarray
-    linear_entropy: np.ndarray
+    plane: np.ndarray
     bell_max: np.ndarray
     purity: np.ndarray
+    # M and C, read-only views of the two columns of the (n, 2) plane array
+    linear_entropy = property(lambda self: self.plane[:, 0])
+    concurrence = property(lambda self: self.plane[:, 1])
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}; expected one of {SOURCES}")
-        # a column the caller can still write into is stored as a read-only
-        # view; the tree copies M and C when it is built (see tree)
-        for name in ("gt", *_RANGES):
+        # an array the caller can still write into is stored as a read-only
+        # view, and plane, which the tree is built over, as a read-only copy
+        for name in ("gt", "plane", "bell_max", "purity"):
             column = np.asarray(getattr(self, name))
             if column.flags.writeable:
-                column = column.view()
+                column = column.copy() if name == "plane" else column.view()
                 column.flags.writeable = False
             object.__setattr__(self, name, column)
-            if column.ndim != 1 or len(column) != len(self.gt):
+            if name != "plane" and (column.ndim != 1 or len(column) != len(self.gt)):
                 raise ValueError(
                     f"{name} must be 1-D with one entry per time in gt, got shape {column.shape}"
                 )
+        if self.plane.shape != (len(self.gt), 2):
+            raise ValueError(f"plane must have shape ({len(self.gt)}, 2), got {self.plane.shape}")
         if len(self.gt) == 0:
             raise ValueError("a trajectory needs at least one time")
 
@@ -79,19 +83,9 @@ class Trajectory:
 
     @cached_property
     def tree(self):
-        """plane_tree over the (M, C) points, built at the first use and
-        shared by the MEMS and Werner coverage, min_mems_distance and the
-        mirror score. The tree keeps the fresh (n, 2) array of (M, C) points
-        it is built over without copying it, and linear_entropy and
-        concurrence are then replaced by read-only views of that array's two
-        columns: the trajectory holds its (M, C) values once, and no write
-        into the arrays it was given can make the tree stale."""
-        points = np.column_stack([self.linear_entropy, self.concurrence])
-        points.flags.writeable = False
-        tree = plane_tree(points)
-        object.__setattr__(self, "linear_entropy", points[:, 0])
-        object.__setattr__(self, "concurrence", points[:, 1])
-        return tree
+        """plane_tree over the (M, C) points, built at the first use and shared
+        by the MEMS and Werner coverage, min_mems_distance and the mirror score."""
+        return plane_tree(self.plane)
 
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
         """Exact distance from each (M, C) query to its nearest point."""
@@ -115,6 +109,8 @@ class Trajectory:
         KD-tree answers each query independently of the rest of its batch.
         """
         n = len(queries)
+        if n == 0:
+            return np.empty(0), np.empty(0)
         samples = np.union1d(np.arange(0, n, _BOUND_STRIDE), [n - 1])
         exact = self.nearest_distances(queries[samples])
         left = np.arange(n) // _BOUND_STRIDE
@@ -163,6 +159,12 @@ def plane_tree(points):
 
 
 _RANGE_SLACK = 1e-9
+# every source computes its phases, up to (Omega + |Delta|) gt, in doubles,
+# so their absolute error grows like eps (Omega + |Delta|) gt_max; a sweep
+# whose bound exceeds _PHASE_TOL would print noise and is refused. _EPS is a
+# Python float, so a bound that overflows reads inf without a numpy warning
+_EPS = float(np.finfo(float).eps)
+_PHASE_TOL = 1e-8
 _RANGES = {
     "concurrence": (0.0, 1.0),
     "linear_entropy": (0.0, 1.0),
@@ -211,16 +213,25 @@ def _x_entry_readout(eg_eg, ge_ge, gg_gg, eg_ge) -> dict:
 def sweep(
     p: SystemParams, gt_max: float, n_steps: int, source: str = ANALYTIC
 ) -> Trajectory:
-    """Uniform time-grid sweep of all trajectory metrics."""
+    """Uniform time-grid sweep of all trajectory metrics; ValueError past
+    the phase-precision bound eps (Omega + |Delta|) gt_max <= 1e-8."""
     if check_times(gt_max) == 0:
         raise ValueError("gt_max must be positive")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
+    phase_error = _EPS * (p.omega + abs(float(p.delta))) * float(gt_max)
+    if phase_error > _PHASE_TOL:
+        raise ValueError(
+            f"gt_max = {gt_max:g} is past the phase-precision bound: "
+            f"eps (Omega + |Delta|) gt_max = {phase_error:.3g} > {_PHASE_TOL:g}"
+        )
     gts = np.linspace(0.0, gt_max, n_steps)
     entries = _X_STATE_ENTRIES[source]
-    raw = {name: np.empty(n_steps) for name in _RANGES}
+    plane = np.empty((n_steps, 2))
+    raw = {"concurrence": plane[:, 1], "linear_entropy": plane[:, 0],
+           "bell_max": np.empty(n_steps), "purity": np.empty(n_steps)}
     # an overflow shows up as non-finite states, which the read-out and the
     # range check report, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +239,9 @@ def sweep(
             part = _x_entry_readout(*entries(p, gts[lo:lo + _BLOCK]))
             for name, values in part.items():
                 raw[name][lo:lo + _BLOCK] = values
-    return Trajectory(params=p, source=source, gt=gts, **_clip_to_ranges(raw))
+    _clip_to_ranges(raw)
+    plane.flags.writeable = False
+    return Trajectory(p, source, gts, plane, raw["bell_max"], raw["purity"])
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
@@ -250,13 +263,17 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     a skipped point's distance lies below it, so it equals the largest
     nearest distance of all reflected points. Undefined for a pure initial
     state, lambda = 0 or 1 (the initial linear entropy (8/3) lambda
-    (1 - lambda) is 0 and the axis degenerates), and for an initial linear
-    entropy outside the curve's span, where interpolation would clamp.
+    (1 - lambda) is 0 and the axis degenerates), for a grid that does not
+    start at gt = 0, whose first point is not the initial state, and for an
+    initial linear entropy outside the curve's span, where interpolation
+    would clamp.
     """
     if not 0.0 < traj.params.lambda_ < 1.0:
         raise ValueError("mirror axis undefined unless 0 < lambda_ < 1")
     if curve.kind != MEMS_CM:
         raise ValueError(f"mirror axis is defined by the MEMS curve, not {curve.kind!r}")
+    if traj.gt[0] != 0:
+        raise ValueError(f"mirror axis needs the t = 0 point, but gt starts at {traj.gt[0]}")
     m0 = float(traj.linear_entropy[0])
     m_lo, m_hi = curve.points[0, 0], curve.points[-1, 0]
     if not m_lo <= m0 <= m_hi:
@@ -265,8 +282,8 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     score = 0.0
     for lo in range(0, len(traj), _BLOCK):
         hi = lo + _BLOCK
-        reflected = np.column_stack([traj.linear_entropy[lo:hi], traj.concurrence[lo:hi]])
-        np.subtract(2.0 * axis, reflected[:, 1], out=reflected[:, 1])
+        reflected = traj.plane[lo:hi] * (1.0, -1.0)
+        reflected += (0.0, 2.0 * axis)
         lower, upper = traj.distance_bounds(reflected)
         score = max(score, lower.max())
         candidates = upper >= score

@@ -367,8 +367,7 @@ def plane_trajectory(m: np.ndarray, c: np.ndarray) -> Trajectory:
         params=SystemParams(g=1.0, delta=0.5, lambda_=0.7),
         source=ANALYTIC,
         gt=np.arange(len(m), dtype=float),
-        concurrence=c,
-        linear_entropy=m,
+        plane=np.column_stack([m, c]),
         bell_max=np.full(len(m), 2.0),
         purity=1.0 - 0.75 * m,
     )

@@ -93,7 +93,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("source, flags", [
         ("rk4", ["--gamma", "1e30"]),  # the propagator power overflows
-        ("spectral", ["--gamma", "1e300", "--delta", "1e100"]),  # inf * 0 at gt = 0
+        # inf * 0 at gt = 0; Delta = 1e6 keeps gt_max = 1 within the phase bound
+        ("spectral", ["--gamma", "1e300", "--delta", "1e6"]),
     ])
     def test_solver_overflow_is_named_as_such(self, tmp_path, capsys, source, flags):
         argv = ["evolve", *flags, "--gt-max", "1", "--n-steps", "3"]
@@ -109,7 +110,7 @@ class TestEvolve:
 
     def test_rk4_overflowing_default_step_is_named(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
-        argv = ["evolve", "--source", "rk4", "--gamma", "1e300", "--delta", "1e100",
+        argv = ["evolve", "--source", "rk4", "--gamma", "1e300", "--delta", "1e6",
                 "--gt-max", "1", "--n-steps", "3", "-o", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -128,11 +129,21 @@ class TestEvolve:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_past_the_phase_bound_exits_2(self, tmp_path, capsys):
+        # at Delta = 0, gt_max = 1e17 the analytic and spectral concurrences read 0.31 and 0.05
+        out = tmp_path / "t.csv"
+        assert main(["evolve", "--gt-max", "1e17", "--n-steps", "3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: gt_max = 1e+17 is past the phase-precision bound: "
+            "eps (Omega + |Delta|) gt_max = 62.8 > 1e-08\n")
+        assert not out.exists()
+
     def test_rk4_large_detuning_finishes(self):
-        # a subprocess, so that a step count growing with Delta cannot hang the suite
+        # a subprocess, so that a step count growing with Delta cannot hang the
+        # suite; gt_max = 0.2 is within the phase bound (8.9e-9), 1 is not
         out = subprocess.run(
             [sys.executable, "-m", "cavityent.cli", "evolve", "--source", "rk4",
-             "--delta", "1e8", "--gt-max", "1", "--n-steps", "3"],
+             "--delta", "1e8", "--gt-max", "0.2", "--n-steps", "3"],
             capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 0, out.stderr

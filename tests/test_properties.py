@@ -9,13 +9,15 @@ the general routes on the states of every sweep source. The analytic
 sweep, read off the closed-form X-state entries, is compared exactly with
 the read-out of the closed-form (n, 4, 4) states. The entry-by-entry
 closed-form state is compared with the printed projector form. The RK4 solver is compared with the
-spectral one, with dephasing up to gamma = 1000. The four X-state entries
+spectral one, with dephasing up to gamma = 1000. Every sweep that passes
+the phase-precision bound agrees between the analytic and spectral
+sources within 1e-8. The four X-state entries
 that the numeric sweep sources read off block states are compared bit for
 bit with the entries of the cavity-traced matrices. The runs are
 derandomized, so every run checks the same examples.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -148,3 +150,32 @@ def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
     want = trajectory._clip_to_ranges(oracles.x_state_readout(states))
     for name, column in want.items():
         assert np.array_equal(getattr(traj, name), column)
+
+
+detuned_far = st.builds(
+    SystemParams,
+    g=st.just(1.0),
+    delta=st.floats(-5.0, 5.0) | st.floats(-1e8, 1e8),
+    lambda_=st.floats(0.0, 1.0),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+)
+
+
+@SETTINGS
+@given(p=detuned_far, gt_max=st.floats(-3.0, 18.0).map(lambda e: 10.0**e))
+# the sources differ by 1.1 at gt_max = 1e17, which must be refused, and
+# by 3.3e-9 at 1e7 (bound 7.5e-9); at Delta = 1e8 and gt_max = 0.2 by 4.5e-9
+@example(p=SystemParams(g=1.0, delta=0.5), gt_max=1e17)
+@example(p=SystemParams(g=1.0, delta=0.5), gt_max=1e7)
+@example(p=SystemParams(g=1.0, delta=1e8), gt_max=0.2)
+def test_accepted_sweeps_agree_across_sources(p, gt_max):
+    # the phases (Omega + |Delta|) gt carry an absolute error of about eps
+    # per unit, so a sweep is refused past eps (Omega + |Delta|) gt_max = 1e-8
+    try:
+        closed = trajectory.sweep(p, gt_max, 3)
+    except ValueError as exc:
+        assert "phase-precision bound" in str(exc)
+        return
+    spectral = trajectory.sweep(p, gt_max, 3, source=trajectory.SPECTRAL)
+    for name in ("concurrence", "linear_entropy", "bell_max", "purity"):
+        assert np.abs(getattr(closed, name) - getattr(spectral, name)).max() < 1e-8

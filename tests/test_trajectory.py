@@ -54,8 +54,9 @@ class TestSweep:
     def test_out_of_range_raw_metric_raises(self, monkeypatch):
         # a raw value outside the physical range must not be clipped away
         def too_large(eg_eg, ge_ge, gg_gg, eg_ge):
-            return {"concurrence": np.zeros(len(eg_eg)),
-                    "bell_max": np.full(len(eg_eg), TSIRELSON + 1e-6)}
+            n = len(eg_eg)
+            return {"concurrence": np.zeros(n), "linear_entropy": np.zeros(n),
+                    "bell_max": np.full(n, TSIRELSON + 1e-6), "purity": np.ones(n)}
 
         monkeypatch.setattr(trajectory, "_x_entry_readout", too_large)
         with pytest.raises(ValueError, match="bell_max"):
@@ -137,38 +138,43 @@ class TestSweep:
     def test_sweep_columns_are_read_only(self):
         # a Trajectory caches its plane tree, which must not go stale
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
-        for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
+        for name in ("gt", "plane", "concurrence", "linear_entropy", "bell_max", "purity"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(traj, name)[0] = 0.5
 
     def test_direct_trajectory_does_not_go_stale(self):
-        # a write into the caller's arrays after a plane reduction must not
+        # a write into the caller's plane after a plane reduction must not
         # leave the cached tree answering for other points than the columns
         rng = np.random.default_rng(5)
-        m, c = rng.uniform(0.0, 8.0 / 9.0, 100), rng.uniform(0.0, 1.0, 100)
-        traj = oracles.plane_trajectory(m, c)
+        plane = rng.uniform(0.0, 8.0 / 9.0, (100, 2))
+        fresh = oracles.plane_trajectory(plane[:, 0], plane[:, 1])
+        traj = dataclasses.replace(fresh, plane=plane)
         trajectory.min_mems_distance(traj)
-        c[:] = 0.0
-        fresh = oracles.plane_trajectory(traj.linear_entropy.copy(), traj.concurrence.copy())
+        plane[:, 1] = 0.0
         assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
 
-    def test_direct_trajectory_keeps_no_copy(self):
-        # a writable column is stored as a read-only view of the caller's
-        # array, not copied: the tree copies M and C when it is built
+    def test_direct_trajectory_copies_only_a_writable_plane(self):
+        # a writable plane, which the tree is built over, is copied and
+        # frozen; a writable 1-D column is stored as a read-only view of the
+        # caller's array, not copied; the caller's arrays stay writable
         rng = np.random.default_rng(6)
-        m, c = rng.uniform(0.0, 8.0 / 9.0, 100), rng.uniform(0.0, 1.0, 100)
-        traj = oracles.plane_trajectory(m, c)
-        for column, given in ((traj.linear_entropy, m), (traj.concurrence, c)):
-            assert np.shares_memory(column, given)
-            assert not column.flags.writeable
-        assert given.flags.writeable
+        plane = rng.uniform(0.0, 8.0 / 9.0, (100, 2))
+        purity = 1.0 - 0.75 * plane[:, 0]
+        traj = dataclasses.replace(
+            oracles.plane_trajectory(plane[:, 0], plane[:, 1]), plane=plane, purity=purity)
+        assert not np.shares_memory(traj.plane, plane)
+        assert np.array_equal(traj.plane, plane)
+        assert np.shares_memory(traj.purity, purity)
+        for stored, given in ((traj.plane, plane), (traj.purity, purity)):
+            assert not stored.flags.writeable
+            assert given.flags.writeable
 
     def test_trajectory_keeps_read_only_columns(self):
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
         again = trajectory.Trajectory(
-            params=traj.params, source=traj.source, gt=traj.gt, concurrence=traj.concurrence,
-            linear_entropy=traj.linear_entropy, bell_max=traj.bell_max, purity=traj.purity)
-        for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
+            params=traj.params, source=traj.source, gt=traj.gt, plane=traj.plane,
+            bell_max=traj.bell_max, purity=traj.purity)
+        for name in ("gt", "plane", "bell_max", "purity"):
             assert getattr(again, name) is getattr(traj, name)
 
     def test_trajectory_rejects_unknown_source(self):
@@ -177,15 +183,19 @@ class TestSweep:
             dataclasses.replace(traj, source="bogus")
 
     def test_trajectory_rejects_misshapen_columns(self):
-        # every column is 1-D with one entry per time: a short or 2-D column
-        # fails when the Trajectory is built, not inside a later reduction
+        # every column is 1-D with one entry per time, and plane has one
+        # (M, C) row per time: a misshapen array fails when the Trajectory
+        # is built, not inside a later reduction
         traj = trajectory.sweep(params(delta=0.5), 10.0, 100)
-        for name in ("gt", "concurrence", "linear_entropy", "bell_max", "purity"):
+        for name in ("gt", "bell_max", "purity"):
             column = getattr(traj, name)
             bad = [column[:, None], column[0]] + ([] if name == "gt" else [column[:50]])
             for value in bad:
                 with pytest.raises(ValueError, match=f"^{name} must be 1-D"):
                     dataclasses.replace(traj, **{name: value})
+        for value in (traj.concurrence, np.zeros((100, 3)), traj.plane[:-1]):
+            with pytest.raises(ValueError, match=r"^plane must have shape \(100, 2\)"):
+                dataclasses.replace(traj, plane=value)
 
     @pytest.mark.parametrize("source", trajectory.SOURCES)
     def test_sweep_peak_memory(self, source):
@@ -274,6 +284,15 @@ class TestPlanePatterns:
         traj = oracles.plane_trajectory(np.array([0.95, 0.5]), np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match=r"m0 = 0\.95 .*\[0\.0, 0\.888"):
             trajectory.mirror_symmetry_check(traj, mems_curve(5))
+
+    def test_mirror_check_rejects_a_grid_not_starting_at_zero(self):
+        # the axis is read off the t = 0 point, so a sweep cut to start at
+        # gt = 1 would be scored about another axis
+        traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 10.0, 101)
+        cut = trajectory.Trajectory(traj.params, traj.source, traj.gt[10:], traj.plane[10:],
+                                    traj.bell_max[10:], traj.purity[10:])
+        with pytest.raises(ValueError, match=r"gt starts at 1\.0"):
+            trajectory.mirror_symmetry_check(cut, mems_curve(2001))
 
     def test_entropy_dip_below_initial_for_low_lambda(self):
         # lambda = 0.6 dips below its starting mixedness, 0.7 and 0.9 do not
@@ -437,14 +456,15 @@ def test_distance_bounds_hold_in_any_order():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 1.0, (500, 2))
     traj = oracles.plane_trajectory(pts[:, 0], pts[:, 1])
-    for n in (1, 2, 15, 16, 17, 1000):
+    for n in (0, 1, 2, 15, 16, 17, 1000):
         curve = np.column_stack([np.linspace(0, 1, n), np.linspace(1, 0, n) ** 2])
         for queries in (curve, rng.permutation(curve)):
             lower, upper = traj.distance_bounds(queries)
             exact = traj.nearest_distances(queries)
+            assert lower.shape == upper.shape == exact.shape == (n,)
             assert np.all(lower <= exact) and np.all(exact <= upper)
             # every 16th query and the last are answered exactly
-            sampled = np.union1d(np.arange(0, n, 16), [n - 1])
+            sampled = np.union1d(np.arange(n)[::16], np.arange(n)[-1:])
             assert np.array_equal(lower[sampled], exact[sampled])
             assert np.array_equal(upper[sampled], exact[sampled])
 
@@ -497,20 +517,6 @@ def test_plane_reductions_share_one_tree(monkeypatch):
     assert built == [5001]
 
 
-def test_coverage_builds_the_tree_before_the_resample(monkeypatch):
-    # with the resample's arrays live while the tree is built, the
-    # plane-analysis benchmark's peak RSS rose by 0.2 to 0.4 MB
-    traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 501)
-    resample = frontier._polyline_resample
-
-    def checked(points):
-        assert "tree" in vars(traj)
-        return resample(points)
-
-    monkeypatch.setattr(frontier, "_polyline_resample", checked)
-    coverage(traj, mems_curve(257), epsilon=0.02)
-
-
 @pytest.mark.parametrize("delta", [0.0, 0.5])
 def test_mirror_score_working_memory(delta):
     # the reflected points are scored block by block, so the mirror score's
@@ -528,16 +534,13 @@ def test_mirror_score_working_memory(delta):
 
 
 def test_plane_reductions_keep_one_copy_of_the_points():
-    # once the tree is built, the M and C columns are views of its points,
-    # bit for bit the sweep's values and still read-only
+    # the tree is built over the sweep's read-only (n, 2) plane array
+    # without a copy, and M and C are views of its two columns
     traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 5001)
-    swept = {name: getattr(traj, name).copy() for name in ("linear_entropy", "concurrence")}
     trajectory.min_mems_distance(traj)
-    for name, values in swept.items():
-        column = getattr(traj, name)
-        assert np.shares_memory(traj.tree.data, column)
-        assert column.tobytes() == values.tobytes()
-        assert not column.flags.writeable
+    assert traj.tree.data is traj.plane
+    for column in (traj.linear_entropy, traj.concurrence):
+        assert column.base is traj.plane
 
 
 class TestDephasedSweep:
