@@ -95,6 +95,12 @@ def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: 
             out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _source(text: str) -> str:
+    if text not in trajectory.SOURCES:
+        raise ValueError(f"unknown source {text!r}; expected one of {trajectory.SOURCES}")
+    return text
+
+
 # config-file key -> (_run_sweep_to_csv keyword, type); the evolve flags
 # store into the same keywords
 _CONFIG_KEYS = {
@@ -103,14 +109,19 @@ _CONFIG_KEYS = {
     "gamma": ("gamma_times_g", float),
     "gt_max": ("gt_max", float),
     "n_steps": ("n_steps", _row_count),
-    "source": ("source", str),
+    "source": ("source", _source),
 }
 
 
 def _load_config_file(path: str) -> dict:
-    """_run_sweep_to_csv keywords from a key=value config file."""
+    """_run_sweep_to_csv keywords from a key=value config file; a ValueError
+    names the file, and the line and key of a value that does not parse."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -125,7 +136,7 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
             values[field] = cast(value.strip())
-        except argparse.ArgumentTypeError as exc:
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
@@ -164,7 +175,7 @@ def _run_sweep_to_csv(
 
 
 def cmd_evolve(args) -> int:
-    fields = _load_config_file(args.config) if args.config else {}
+    fields = _load_config_file(args.config) if args.config is not None else {}
     # the evolve flags default to SUPPRESS, so only flags actually given are
     # in args, and they override the file; _run_sweep_to_csv's defaults
     # supply the rest

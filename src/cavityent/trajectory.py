@@ -8,12 +8,12 @@ of three sources:
   spectral  exact spectral solution of the master equation, cavity-traced
   rk4       fixed-step RK4 integration of the master equation (cross-check)
 
-and reads (concurrence, linear entropy, maximal CHSH value, purity) off
-them in one read-out for every source, in blocks of _BLOCK times whose
-temporaries do not grow with the grid; an RK4 block starts from t = 0.
-Numeric block states must trace to X-states (evolution.traced_x_entries).
-Raw metrics must be finite and lie in their physical ranges within 1e-9;
-they are then clipped. The columns are read-only.
+and reads (concurrence, linear entropy, maximal CHSH value) off them in
+one read-out for every source, in blocks of _BLOCK times whose temporaries
+do not grow with the grid; an RK4 block starts from t = 0. Numeric block
+states must trace to X-states (evolution.traced_x_entries). Raw metrics
+must be finite and lie in their physical ranges within 1e-9; they are then
+clipped. The arrays are read-only; purity is read off the linear entropy.
 """
 from __future__ import annotations
 
@@ -49,30 +49,26 @@ SOURCES = tuple(_X_STATE_ENTRIES)
 @dataclass(frozen=True)
 class Trajectory:
     params: SystemParams
-    source: str
     gt: np.ndarray
     plane: np.ndarray
     bell_max: np.ndarray
-    purity: np.ndarray
-    # M and C, read-only views of the two columns of the (n, 2) plane array
+    # M and C, read-only views of the (n, 2) plane's columns, and Tr rho^2 = 1 - (3/4) M
     linear_entropy = property(lambda self: self.plane[:, 0])
     concurrence = property(lambda self: self.plane[:, 1])
+    purity = property(lambda self: 1.0 - 0.75 * self.plane[:, 0])
 
     def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}; expected one of {SOURCES}")
-        # an array the caller can still write into is stored as a read-only
-        # view, and plane, which the tree is built over, as a read-only copy
-        for name in ("gt", "plane", "bell_max", "purity"):
+        # a writable array is stored as a read-only copy, so that no write can
+        # leave the cached tree stale; a read-only array is kept as it is
+        for name in ("gt", "plane", "bell_max"):
             column = np.asarray(getattr(self, name))
             if column.flags.writeable:
-                column = column.copy() if name == "plane" else column.view()
+                column = column.copy()
                 column.flags.writeable = False
             object.__setattr__(self, name, column)
             if name != "plane" and (column.ndim != 1 or len(column) != len(self.gt)):
-                raise ValueError(
-                    f"{name} must be 1-D with one entry per time in gt, got shape {column.shape}"
-                )
+                raise ValueError(f"{name} must be 1-D with one entry per time in gt, "
+                                 f"got shape {column.shape}")
         if self.plane.shape != (len(self.gt), 2):
             raise ValueError(f"plane must have shape ({len(self.gt)}, 2), got {self.plane.shape}")
         if len(self.gt) == 0:
@@ -169,7 +165,6 @@ _RANGES = {
     "concurrence": (0.0, 1.0),
     "linear_entropy": (0.0, 1.0),
     "bell_max": (0.0, TSIRELSON),
-    "purity": (0.25, 1.0),
 }
 
 
@@ -189,7 +184,7 @@ def _clip_to_ranges(raw: dict) -> dict:
 
 
 def _x_entry_readout(eg_eg, ge_ge, gg_gg, eg_ge) -> dict:
-    """The four raw sweep metrics of X-states with an empty |ee> level, from
+    """The three raw sweep metrics of X-states with an empty |ee> level, from
     their entries, keyed like _RANGES.
 
     C = 2|rho_eg,ge| (Wootters), and the correlation matrix has the
@@ -206,7 +201,6 @@ def _x_entry_readout(eg_eg, ge_ge, gg_gg, eg_ge) -> dict:
         "concurrence": conc,
         "linear_entropy": 4.0 / 3.0 * (1.0 - purity),
         "bell_max": 2.0 * np.sqrt(conc**2 + np.maximum(conc**2, t_zz**2)),
-        "purity": purity,
     }
 
 
@@ -231,7 +225,7 @@ def sweep(
     entries = _X_STATE_ENTRIES[source]
     plane = np.empty((n_steps, 2))
     raw = {"concurrence": plane[:, 1], "linear_entropy": plane[:, 0],
-           "bell_max": np.empty(n_steps), "purity": np.empty(n_steps)}
+           "bell_max": np.empty(n_steps)}
     # an overflow shows up as non-finite states, which the read-out and the
     # range check report, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,8 +234,9 @@ def sweep(
             for name, values in part.items():
                 raw[name][lo:lo + _BLOCK] = values
     _clip_to_ranges(raw)
-    plane.flags.writeable = False
-    return Trajectory(p, source, gts, plane, raw["bell_max"], raw["purity"])
+    for column in (gts, plane, raw["bell_max"]):
+        column.flags.writeable = False
+    return Trajectory(p, gts, plane, raw["bell_max"])
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:

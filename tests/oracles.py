@@ -43,7 +43,7 @@ from cavityent.model import (
     SystemParams,
     check_times,
 )
-from cavityent.trajectory import ANALYTIC, Trajectory, _x_entry_readout
+from cavityent.trajectory import Trajectory, _x_entry_readout
 
 BELL_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -365,9 +365,7 @@ def plane_trajectory(m: np.ndarray, c: np.ndarray) -> Trajectory:
     """Trajectory with the (M, C) points (m, c) and a mixed start."""
     return Trajectory(
         params=SystemParams(g=1.0, delta=0.5, lambda_=0.7),
-        source=ANALYTIC,
         gt=np.arange(len(m), dtype=float),
         plane=np.column_stack([m, c]),
         bell_max=np.full(len(m), 2.0),
-        purity=1.0 - 0.75 * m,
     )

@@ -211,6 +211,35 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert f"{cfg}:3: duplicate config key 'delta'" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("delta = abc", "delta: could not convert string to float: 'abc'"),
+        ("lambda = 0.5 # half", "lambda: could not convert string to float: '0.5 # half'"),
+        ("source = euler", "source: unknown source 'euler'"),
+    ])
+    def test_unparsable_config_value_names_file_line_and_key(
+            self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gt_max = 1\n{line}\n")
+        out = tmp_path / "t.csv"
+        assert main(["evolve", "--config", str(cfg), "-o", str(out)]) == 2
+        assert f"{cfg}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["missing.cfg", ".", "latin1.cfg", ""])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, name):
+        # a config path is a parameter: one that cannot be read (missing, a
+        # directory, not UTF-8, or empty) is a bad parameter
+        cfg = str(tmp_path / name) if name else ""
+        if name == "latin1.cfg":
+            Path(cfg).write_bytes(b"delta = \xe9\n")
+        assert main(["evolve", "--config", cfg, "-o", str(tmp_path / "t.csv")]) == 2
+        assert f"{cfg}: cannot read config file: " in capsys.readouterr().err
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        # an output that cannot be written is a runtime failure
+        assert main(["evolve", "--gt-max", "1", "--n-steps", "3", "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("failure: ")
+
 
 class TestFrontierCommand:
     def test_werner(self, tmp_path):

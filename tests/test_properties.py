@@ -4,9 +4,9 @@ Each example compares a closed form with an independent route: the
 cavity-traced spectral solution of the master equation, the Wootters
 concurrence and the correlation-matrix CHSH maximum of the closed-form
 state. The sweep's X-state read-out is compared with the last two on
-closed-form and spectral states, and its purity and linear entropy with
-the general routes on the states of every sweep source. The analytic
-sweep, read off the closed-form X-state entries, is compared exactly with
+closed-form and spectral states, and its linear entropy and the sweep's
+purity with the general routes on the states of every sweep source. The
+analytic sweep, read off the closed-form X-state entries, is compared exactly with
 the read-out of the closed-form (n, 4, 4) states. The entry-by-entry
 closed-form state is compared with the printed projector form. The RK4 solver is compared with the
 spectral one, with dephasing up to gamma = 1000. Every sweep that passes
@@ -125,17 +125,20 @@ resonant_or_detuned = st.builds(
 
 
 @SETTINGS
-@given(p=resonant_or_detuned, gts=sorted_times, source=st.sampled_from(trajectory.SOURCES))
-def test_readout_purity_matches_general_routes(p, gts, source):
+@given(p=resonant_or_detuned, gt_max=st.floats(1e-3, 10.0), n_steps=st.integers(2, 8),
+       source=st.sampled_from(trajectory.SOURCES))
+def test_readout_purity_matches_general_routes(p, gt_max, n_steps, source):
+    # the grid is one block, so the states below are the ones the sweep reads
+    traj = trajectory.sweep(p, gt_max, n_steps, source)
     if source == trajectory.ANALYTIC:
-        states = analytic.rho_s_matrices(p, gts)
+        states = analytic.rho_s_matrices(p, traj.gt)
     else:
         solve = {trajectory.SPECTRAL: evolution.evolve_spectral_grid,
                  trajectory.RK4: evolution.evolve_rk4_grid}[source]
-        states = evolution.reduce_to_atoms(solve(p, gts))
+        states = evolution.reduce_to_atoms(solve(p, traj.gt))
     raw = oracles.x_state_readout(states)
-    assert np.abs(raw["purity"] - metrics.purity_many(states)).max() < 1e-12
     assert np.abs(raw["linear_entropy"] - metrics.linear_entropy_many(states)).max() < 1e-12
+    assert np.abs(traj.purity - metrics.purity_many(states)).max() < 1e-12
 
 
 @SETTINGS

@@ -56,7 +56,7 @@ class TestSweep:
         def too_large(eg_eg, ge_ge, gg_gg, eg_ge):
             n = len(eg_eg)
             return {"concurrence": np.zeros(n), "linear_entropy": np.zeros(n),
-                    "bell_max": np.full(n, TSIRELSON + 1e-6), "purity": np.ones(n)}
+                    "bell_max": np.full(n, TSIRELSON + 1e-6)}
 
         monkeypatch.setattr(trajectory, "_x_entry_readout", too_large)
         with pytest.raises(ValueError, match="bell_max"):
@@ -136,11 +136,16 @@ class TestSweep:
             trajectory.sweep(p, gt_max, n_steps, source=trajectory.SPECTRAL)
 
     def test_sweep_columns_are_read_only(self):
-        # a Trajectory caches its plane tree, which must not go stale
+        # a Trajectory caches its plane tree, which must not go stale; the
+        # purity is a new array at every read, so a write into one changes
+        # no later read
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
-        for name in ("gt", "plane", "concurrence", "linear_entropy", "bell_max", "purity"):
+        for name in ("gt", "plane", "concurrence", "linear_entropy", "bell_max"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(traj, name)[0] = 0.5
+        purity = traj.purity
+        purity[0] = 0.5
+        assert traj.purity[0] == 1.0
 
     def test_direct_trajectory_does_not_go_stale(self):
         # a write into the caller's plane after a plane reduction must not
@@ -153,41 +158,33 @@ class TestSweep:
         plane[:, 1] = 0.0
         assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
 
-    def test_direct_trajectory_copies_only_a_writable_plane(self):
-        # a writable plane, which the tree is built over, is copied and
-        # frozen; a writable 1-D column is stored as a read-only view of the
-        # caller's array, not copied; the caller's arrays stay writable
+    def test_direct_trajectory_copies_every_writable_array(self):
+        # every writable array is stored as a frozen copy, and the caller's
+        # arrays stay writable
         rng = np.random.default_rng(6)
-        plane = rng.uniform(0.0, 8.0 / 9.0, (100, 2))
-        purity = 1.0 - 0.75 * plane[:, 0]
-        traj = dataclasses.replace(
-            oracles.plane_trajectory(plane[:, 0], plane[:, 1]), plane=plane, purity=purity)
-        assert not np.shares_memory(traj.plane, plane)
-        assert np.array_equal(traj.plane, plane)
-        assert np.shares_memory(traj.purity, purity)
-        for stored, given in ((traj.plane, plane), (traj.purity, purity)):
+        given = {"gt": np.arange(100.0), "plane": rng.uniform(0.0, 8.0 / 9.0, (100, 2)),
+                 "bell_max": rng.uniform(0.0, TSIRELSON, 100)}
+        traj = trajectory.Trajectory(params(delta=0.5), **given)
+        for name, array in given.items():
+            stored = getattr(traj, name)
+            assert not np.shares_memory(stored, array)
+            assert np.array_equal(stored, array)
             assert not stored.flags.writeable
-            assert given.flags.writeable
+            assert array.flags.writeable
 
     def test_trajectory_keeps_read_only_columns(self):
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
         again = trajectory.Trajectory(
-            params=traj.params, source=traj.source, gt=traj.gt, plane=traj.plane,
-            bell_max=traj.bell_max, purity=traj.purity)
-        for name in ("gt", "plane", "bell_max", "purity"):
+            params=traj.params, gt=traj.gt, plane=traj.plane, bell_max=traj.bell_max)
+        for name in ("gt", "plane", "bell_max"):
             assert getattr(again, name) is getattr(traj, name)
-
-    def test_trajectory_rejects_unknown_source(self):
-        traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
-        with pytest.raises(ValueError, match="source 'bogus'"):
-            dataclasses.replace(traj, source="bogus")
 
     def test_trajectory_rejects_misshapen_columns(self):
         # every column is 1-D with one entry per time, and plane has one
         # (M, C) row per time: a misshapen array fails when the Trajectory
         # is built, not inside a later reduction
         traj = trajectory.sweep(params(delta=0.5), 10.0, 100)
-        for name in ("gt", "bell_max", "purity"):
+        for name in ("gt", "bell_max"):
             column = getattr(traj, name)
             bad = [column[:, None], column[0]] + ([] if name == "gt" else [column[:50]])
             for value in bad:
@@ -201,7 +198,7 @@ class TestSweep:
     def test_sweep_peak_memory(self, source):
         # every source yields the four X-state entries block by block into
         # the columns, which are clipped in place: the peak is one block's
-        # temporaries (1 MiB for a numeric source) beside the five returned arrays
+        # temporaries (1 MiB for a numeric source) beside the four stored columns
         p = params(delta=0.5)
         trajectory.sweep(p, 500.0, 101, source=source)
         tracemalloc.start()
@@ -210,7 +207,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = (traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity)
+        returned = (traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max)
         bound = 2.0 if source == trajectory.ANALYTIC else 2.5
         assert peak <= bound * sum(column.nbytes for column in returned)
 
@@ -289,8 +286,8 @@ class TestPlanePatterns:
         # the axis is read off the t = 0 point, so a sweep cut to start at
         # gt = 1 would be scored about another axis
         traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 10.0, 101)
-        cut = trajectory.Trajectory(traj.params, traj.source, traj.gt[10:], traj.plane[10:],
-                                    traj.bell_max[10:], traj.purity[10:])
+        cut = trajectory.Trajectory(traj.params, traj.gt[10:], traj.plane[10:],
+                                    traj.bell_max[10:])
         with pytest.raises(ValueError, match=r"gt starts at 1\.0"):
             trajectory.mirror_symmetry_check(cut, mems_curve(2001))
 
