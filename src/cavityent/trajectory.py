@@ -34,6 +34,7 @@ RK4 = "rk4"
 # or the RK4 states, each (4096, 16) complex) are the same for every grid
 _BLOCK = 4096
 _BOUND_STRIDE = 16
+_MIRROR_QUERIES = 64  # reflected points that the mirror score queries at a time
 
 # each source's X-state entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge)
 # at a block of times, with the functions looked up at call time so that a
@@ -58,11 +59,11 @@ class Trajectory:
     purity = property(lambda self: 1.0 - 0.75 * self.plane[:, 0])
 
     def __post_init__(self):
-        # a writable array is stored as a read-only copy, so that no write can
-        # leave the cached tree stale; a read-only array is kept as it is
+        # a writable array, or a plane whose data another array owns, is stored
+        # as a read-only copy, so that no write can leave the cached index stale
         for name in ("gt", "plane", "bell_max"):
-            column = np.asarray(getattr(self, name))
-            if column.flags.writeable:
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.flags.writeable or (name == "plane" and not column.flags.owndata):
                 column = column.copy()
                 column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -73,19 +74,22 @@ class Trajectory:
             raise ValueError(f"plane must have shape ({len(self.gt)}, 2), got {self.plane.shape}")
         if len(self.gt) == 0:
             raise ValueError("a trajectory needs at least one time")
+        for column, name in zip(self.plane.T, ("linear entropy M", "concurrence C")):
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"{name} has non-finite values")
 
     def __len__(self) -> int:
         return len(self.gt)
 
     @cached_property
     def tree(self):
-        """plane_tree over the (M, C) points, built at the first use and shared
+        """PlaneIndex over the (M, C) points, built at the first use and shared
         by the MEMS and Werner coverage, min_mems_distance and the mirror score."""
-        return plane_tree(self.plane)
+        return PlaneIndex(self.plane)
 
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
         """Exact distance from each (M, C) query to its nearest point."""
-        return self.tree.query(queries)[0]
+        return self.tree.query(queries)
 
     def distance_bounds(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on every query's nearest distance.
@@ -96,18 +100,21 @@ class Trajectory:
         q_a (index 16 (i // 16)) has d_a - |q - q_a| <= d(q) <= d_a + |q - q_a|,
         in any query order; the bounds are tight where consecutive queries
         are close. Each bound is padded outward by 1e-12 relative plus 1e-12
-        absolute, so that rounding in the tree's distances and in the chord
+        absolute, so that rounding in the index's distances and in the chord
         cannot move a bound past the exact distance; a bound that does not
         clear a threshold by the pad leaves that query to be answered exactly.
+        An upper bound is also cut to the query's seed (PlaneIndex.seeds).
 
         The reductions over the bounds stay exact: they call nearest_distances
-        on every query that attains or could attain their result, and a
-        KD-tree answers each query independently of the rest of its batch.
+        on every query that attains or could attain their result, and the
+        index answers each query independently of the rest of its batch.
         """
         n = len(queries)
         if n == 0:
             return np.empty(0), np.empty(0)
-        samples = np.union1d(np.arange(0, n, _BOUND_STRIDE), [n - 1])
+        # first, so that the seeds' temporaries do not meet the bounds'
+        seeds = self.tree.seeds(queries)
+        samples = np.append(np.arange(0, n - 1, _BOUND_STRIDE), n - 1)
         exact = self.nearest_distances(queries[samples])
         left = np.arange(n) // _BOUND_STRIDE
         d_left = exact[left]
@@ -123,35 +130,119 @@ class Trajectory:
         lower -= pad
         upper = np.add(d_left, chord, out=d_left)
         upper += pad
+        np.minimum(upper, seeds, out=upper)
         lower[samples] = upper[samples] = exact
         return lower, upper
 
 
-def plane_tree(points):
-    """scipy ``cKDTree`` over (n, 2) plane points, for nearest-neighbour queries.
+# the plane index's points per leaf, Morton cells per axis and pairs pruned at once
+_LEAF = 32
+_CELLS = 65535.0
+_PAIRS = 2048
 
-    Built with compact_nodes=False and balanced_tree=False. A periodic
-    trajectory (Delta/Omega rational) retraces one closed curve many times,
-    so its points pile up in near-duplicates along it. Against such sets
-    scipy's default tree, with nodes shrunk to their points' bounding boxes
-    and splits at medians, answered nearest-neighbour queries 3 to 80 times
-    slower than this one (50 001-point sweeps at Delta = 0 and 1); on
-    quasi-periodic sets both are about as fast.
 
-    The leaves hold up to 64 points, not scipy's default 16: a tree over a
-    50 001-point sweep then takes about 0.55 MB beside its points, not
-    1.15 MB, and building it plus the four plane reductions, which query a
-    few thousand points after bounding the rest (Trajectory.distance_bounds), took
-    160-200 ms instead of 205-225 ms over the four (Delta, lambda) sets of
-    perfbench/plane.py (four runs each).
+class PlaneIndex:
+    """Exact nearest-neighbour distances to fixed (n, 2) points, numpy only.
 
-    scipy is imported here, at the first call, and not with the module: only
-    the plane analytics need it, so the CLI and everything else load numpy
-    alone.
+    The points (``data``, not copied) are sorted by the Morton code of their
+    16-bit cells into leaves of _LEAF, the last padded with its last point,
+    under a 4-ary hierarchy of bounding boxes. A query's seed, its distance
+    to the nearest point of the leaf that its code falls in, bounds its
+    nearest distance from above (0 on a point sharing its cell with no
+    other). ``query`` descends from the seed, _PAIRS (query, box) pairs at a
+    time: a box's farthest corner lowers the squared bound, and a box not
+    nearer than the bound is dropped; the leaves left give the minimum of
+    dx*dx + dy*dy. Rounding is monotone, so the box bounds hold for the
+    rounded distances and the answer is the brute-force one bit for bit.
     """
-    from scipy.spatial import cKDTree
 
-    return cKDTree(points, leafsize=64, compact_nodes=False, balanced_tree=False)
+    def __init__(self, points: np.ndarray):
+        self.data = points
+        self._lo = points.min(axis=0)
+        span = points.max(axis=0) - self._lo
+        self._scale = np.divide(_CELLS, span, out=np.zeros(2), where=span > 0)
+        codes = self._codes(points)
+        order = np.argsort(codes, kind="stable")
+        order = np.concatenate([order, np.repeat(order[-1:], -len(order) % _LEAF)])
+        self._first = codes[order[::_LEAF]]
+        self._x, self._y = (points[order, k].reshape(-1, _LEAF) for k in (0, 1))
+        # a box is (lo_x, lo_y, -hi_x, -hi_y), so a parent is the minimum of
+        # its children and an empty box is all inf
+        levels = [np.stack([self._x.min(1), self._y.min(1), -self._x.max(1), -self._y.max(1)])]
+        while levels[-1].shape[1] > 1:
+            levels[-1] = np.pad(levels[-1], ((0, 0), (0, -levels[-1].shape[1] % 4)),
+                                constant_values=np.inf)
+            levels.append(levels[-1].reshape(4, -1, 4).min(axis=2))
+        self._levels = levels[::-1]
+
+    def _codes(self, q: np.ndarray) -> np.ndarray:
+        cells = q - self._lo
+        cells *= self._scale
+        np.clip(cells, 0.0, _CELLS, out=cells)
+        # each cell index's 16 bits spread to the even bits, then x and y interleaved
+        code = cells.astype(np.uint32)
+        for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+            code = (code | (code << shift)) & mask
+        return code[:, 0] | (code[:, 1] << 1)
+
+    def _leaf_sq(self, qx, qy, leaves) -> np.ndarray:
+        """Squared distance from each query to the nearest point of its leaf."""
+        out = np.empty(len(leaves))
+        for lo in range(0, len(leaves), _PAIRS // 8):
+            part = slice(lo, lo + _PAIRS // 8)
+            dx, dy = self._x[leaves[part]], self._y[leaves[part]]
+            dx -= qx[part, None]
+            dy -= qy[part, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            dx.min(axis=1, out=out[part])
+        return out
+
+    def _seed_sq(self, q: np.ndarray) -> np.ndarray:
+        leaf = np.searchsorted(self._first, self._codes(q), side="right") - 1
+        return self._leaf_sq(q[:, 0], q[:, 1], np.maximum(leaf, 0))
+
+    def _descend(self, qx, qy, bound, depth, owner, box) -> None:
+        """Lower each query's squared bound, in place, to the least squared
+        distance under its (query, box) pairs at depth, depth first (pruning
+        in _prune, so that its temporaries are freed before the recursion)."""
+        owner, box = _prune(qx, qy, bound, self._levels[depth][:, box], owner, box)
+        if depth == len(self._levels) - 1:
+            np.minimum.at(bound, owner, self._leaf_sq(qx[owner], qy[owner], box))
+            return
+        for lo in range(0, len(owner), _PAIRS // 4):
+            part = slice(lo, lo + _PAIRS // 4)
+            self._descend(qx, qy, bound, depth + 1, np.repeat(owner[part], 4),
+                          (4 * box[part, None] + np.arange(4)).ravel())
+
+    def query(self, queries: np.ndarray) -> np.ndarray:
+        """Exact distance from each (n, 2) query to its nearest point."""
+        bound = self._seed_sq(queries)
+        for lo in range(0, len(queries), _PAIRS):
+            owner = np.arange(lo, min(lo + _PAIRS, len(queries)))
+            self._descend(queries[:, 0], queries[:, 1], bound, 0, owner, np.zeros_like(owner))
+        return np.sqrt(bound, out=bound)
+
+    def seeds(self, queries: np.ndarray) -> np.ndarray:
+        """Each query's seed, an upper bound on its nearest distance."""
+        return np.sqrt(self._seed_sq(queries))
+
+
+def _prune(qx, qy, bound, boxes, owner, box):
+    """The (query, box) pairs whose box distance is below the query's squared
+    bound, after lowering that bound to each box's farthest corner."""
+    x, y = qx[owner], qy[owner]
+    # lo - q and q - hi = (-hi) + q on each axis: the far corner is the larger
+    # magnitude, and q lies outside the box where either one is positive
+    lo_x, lo_y, hi_x, hi_y = boxes[0] - x, boxes[1] - y, boxes[2] + x, boxes[3] + y
+    far_x = np.maximum(np.abs(lo_x), np.abs(hi_x))
+    far_y = np.maximum(np.abs(lo_y), np.abs(hi_y))
+    np.minimum.at(bound, owner, far_x * far_x + far_y * far_y)
+    near_x = np.maximum(np.maximum(lo_x, hi_x), 0.0)
+    near_y = np.maximum(np.maximum(lo_y, hi_y), 0.0)
+    keep = near_x * near_x + near_y * near_y < bound[owner]
+    return owner[keep], box[keep]
 
 
 _RANGE_SLACK = 1e-9
@@ -251,17 +342,17 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
 
     The points are reflected in blocks of _BLOCK, so the temporaries do not
     grow with the trajectory, and the score is kept as a running maximum.
-    Each block's distance bounds (Trajectory.distance_bounds) first raise
-    it to the block's largest sampled exact distance; then only the
-    reflected points whose upper bound reaches it are queried exactly, and
-    none when no bound does. The score is always an exact tree distance and
-    a skipped point's distance lies below it, so it equals the largest
-    nearest distance of all reflected points. Undefined for a pure initial
-    state, lambda = 0 or 1 (the initial linear entropy (8/3) lambda
-    (1 - lambda) is 0 and the axis degenerates), for a grid that does not
-    start at gt = 0, whose first point is not the initial state, and for an
-    initial linear entropy outside the curve's span, where interpolation
-    would clamp.
+    Each reflected point's seed (PlaneIndex.seeds) bounds its nearest
+    distance from above. While some seed in the block lies above the score,
+    the _MIRROR_QUERIES largest such points are queried exactly and the score
+    is raised to their largest distance. The score is always an exact
+    distance and a point never queried lies within its seed, so within the
+    score: it equals the largest nearest distance of all reflected points.
+    Undefined for a pure initial state, lambda = 0 or 1 (the initial linear
+    entropy (8/3) lambda (1 - lambda) is 0 and the axis degenerates), for a
+    grid that does not start at gt = 0, whose first point is not the initial
+    state, and for an initial linear entropy outside the curve's span, where
+    interpolation would clamp.
     """
     if not 0.0 < traj.params.lambda_ < 1.0:
         raise ValueError("mirror axis undefined unless 0 < lambda_ < 1")
@@ -276,14 +367,13 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     axis = float(np.interp(m0, curve.points[:, 0], curve.points[:, 1])) / 2.0
     score = 0.0
     for lo in range(0, len(traj), _BLOCK):
-        hi = lo + _BLOCK
-        reflected = traj.plane[lo:hi] * (1.0, -1.0)
+        reflected = traj.plane[lo:lo + _BLOCK] * (1.0, -1.0)
         reflected += (0.0, 2.0 * axis)
-        lower, upper = traj.distance_bounds(reflected)
-        score = max(score, lower.max())
-        candidates = upper >= score
-        if candidates.any():
-            score = max(score, traj.nearest_distances(reflected[candidates]).max())
+        seeds = traj.tree.seeds(reflected)
+        while (above := np.flatnonzero(seeds > score)).size:
+            top = above[np.argsort(seeds[above])[-_MIRROR_QUERIES:]]
+            seeds[top] = traj.nearest_distances(reflected[top])
+            score = max(score, seeds[top].max())
     return float(score)
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -136,7 +138,7 @@ class TestSweep:
             trajectory.sweep(p, gt_max, n_steps, source=trajectory.SPECTRAL)
 
     def test_sweep_columns_are_read_only(self):
-        # a Trajectory caches its plane tree, which must not go stale; the
+        # a Trajectory caches its plane index, which must not go stale; the
         # purity is a new array at every read, so a write into one changes
         # no later read
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
@@ -149,7 +151,7 @@ class TestSweep:
 
     def test_direct_trajectory_does_not_go_stale(self):
         # a write into the caller's plane after a plane reduction must not
-        # leave the cached tree answering for other points than the columns
+        # leave the cached index answering for other points than the columns
         rng = np.random.default_rng(5)
         plane = rng.uniform(0.0, 8.0 / 9.0, (100, 2))
         fresh = oracles.plane_trajectory(plane[:, 0], plane[:, 1])
@@ -157,6 +159,30 @@ class TestSweep:
         trajectory.min_mems_distance(traj)
         plane[:, 1] = 0.0
         assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
+
+    def test_direct_trajectory_copies_a_plane_view(self):
+        # a read-only view's base stays writable for the caller, so only a
+        # read-only plane that owns its data is kept as it is
+        rng = np.random.default_rng(7)
+        owned = rng.uniform(0.0, 8.0 / 9.0, (1000, 2))
+        view = owned.view()
+        view.flags.writeable = False
+        traj = oracles.plane_trajectory(owned[:, 0], owned[:, 1])
+        traj = dataclasses.replace(traj, plane=view)
+        fresh = dataclasses.replace(traj, plane=owned.copy())
+        trajectory.min_mems_distance(traj)
+        owned[:] = rng.uniform(0.0, 8.0 / 9.0, (1000, 2))
+        assert not np.shares_memory(traj.plane, owned)
+        assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
+
+    @pytest.mark.parametrize("column, name", [(0, "linear entropy M"), (1, "concurrence C")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trajectory_rejects_non_finite_plane_points(self, column, name, bad):
+        # refused when built, before a NaN could reach the index's cell codes
+        plane = np.full((5, 2), 0.25)
+        plane[3, column] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite values"):
+            oracles.plane_trajectory(plane[:, 0], plane[:, 1])
 
     def test_direct_trajectory_copies_every_writable_array(self):
         # every writable array is stored as a frozen copy, and the caller's
@@ -466,22 +492,114 @@ def test_distance_bounds_hold_in_any_order():
             assert np.array_equal(upper[sampled], exact[sampled])
 
 
-def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
-    # on a periodic sweep the bounds decide most nearest distances, so each
-    # reduction asks the tree about fewer than a third of its queries
-    build = trajectory.plane_tree
+def plane_points(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n (M, C)-like points of one kind: random, near-duplicate piles (a few
+    places, each retraced to within 1e-13), on a line with one axis of zero
+    span, or all identical."""
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, (n, 2))
+    if kind == "piles":
+        places = rng.uniform(0.0, 1.0, (max(1, n // 40), 2))
+        return places[rng.integers(0, len(places), n)] + rng.uniform(-1e-13, 1e-13, (n, 2))
+    if kind == "flat":
+        points = np.column_stack([rng.uniform(0.0, 1.0, n), np.full(n, rng.uniform())])
+        return points[:, ::rng.choice([1, -1])]
+    return np.full((n, 2), rng.uniform(0.0, 1.0, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "piles", "flat", "identical"]),
+    n=st.sampled_from([1, 31, 32, 33, 127, 128, 129, 1023, 1024, 1025]) | st.integers(2, 3000),
+)
+@example(seed=0, kind="random", n=1)
+@example(seed=1, kind="piles", n=1025)
+@example(seed=2, kind="flat", n=32)
+@example(seed=3, kind="identical", n=129)
+def test_index_distances_equal_brute_force(seed, kind, n):
+    # queries inside the points' box, on the points and up to 100 units
+    # outside it; the index's distances are the brute-force ones bit for
+    # bit, and the seeds bound them from above
+    rng = np.random.default_rng(seed)
+    points = plane_points(kind, n, rng)
+    traj = oracles.plane_trajectory(points[:, 0], points[:, 1])
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    on = points[rng.integers(0, n, 100)]
+    queries = np.concatenate([rng.uniform(lo, hi, (200, 2)), on,
+                              rng.uniform(lo - 100.0, hi + 100.0, (100, 2))])
+    exact = traj.nearest_distances(queries)
+    assert np.array_equal(exact, nearest_distances(queries, points))
+    assert np.all(traj.tree.seeds(queries) >= exact)
+    # a point's seed is 0 unless another point shares its 16-bit cell,
+    # which only piles and points on a line do
+    if kind in ("random", "identical"):
+        assert np.all(traj.tree.seeds(on) == 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_coverage_and_mems_distance_working_memory(delta):
+    # the index prunes at most a few thousand (query, box) pairs and scans
+    # a few hundred leaves at once, so coverage and the MEMS distance stay,
+    # like the mirror score, below the size of the (n, 2) plane array
+    traj = trajectory.sweep(params(delta=delta, lambda_=0.7), 500.0, 50001)
+    tree = traj.tree
+    for reduce in (lambda: coverage(traj, mems_curve(257), epsilon=0.02),
+                   lambda: coverage(traj, werner_curve(257), epsilon=0.02),
+                   lambda: trajectory.min_mems_distance(traj)):
+        tracemalloc.start()
+        try:
+            reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tree.data.nbytes
+
+
+def test_plane_reductions_load_no_scipy():
+    code = (
+        "import sys\n"
+        "from cavityent import frontier, trajectory\n"
+        "from cavityent.model import SystemParams\n"
+        "traj = trajectory.sweep(SystemParams(g=1.0, delta=0.5, lambda_=0.7), 50.0, 5001)\n"
+        "mems = frontier.mems_curve(257)\n"
+        "frontier.coverage(traj, mems, 0.02)\n"
+        "frontier.coverage(traj, frontier.werner_curve(257), 0.02)\n"
+        "trajectory.min_mems_distance(traj)\n"
+        "trajectory.mirror_symmetry_check(traj, mems)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def counting_index(monkeypatch) -> list:
+    """Make each trajectory's plane index add the number of queries it
+    answers exactly to the last entry of the returned list."""
+    build = trajectory.PlaneIndex
     asked = []
 
-    class CountingTree:
+    class CountingIndex:
         def __init__(self, points):
-            self.tree = build(points)
-            self.data = self.tree.data
+            self.index = build(points)
 
-        def query(self, queries, *args, **kwargs):
+        def query(self, queries):
             asked[-1] += len(queries)
-            return self.tree.query(queries, *args, **kwargs)
+            return self.index.query(queries)
 
-    monkeypatch.setattr(trajectory, "plane_tree", CountingTree)
+        def __getattr__(self, name):
+            return getattr(self.index, name)
+
+    monkeypatch.setattr(trajectory, "PlaneIndex", CountingIndex)
+    return asked
+
+
+def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
+    # on a periodic sweep the bounds decide most nearest distances, so each
+    # reduction asks the index about fewer than a third of its queries
+    asked = counting_index(monkeypatch)
     traj = trajectory.sweep(params(delta=0.0, lambda_=0.7), 500.0, 50001)
     curve = mems_curve(257)
     for reduce, rows in (
@@ -494,17 +612,28 @@ def test_plane_reductions_query_a_fraction_of_their_rows(monkeypatch):
         assert 0 < asked[-1] < rows / 3
 
 
+def test_mirror_score_queries_few_rows_exactly(monkeypatch):
+    # at Delta = 0.5 the score is only 0.004, below most chords between
+    # neighbouring points, but above nearly every seed: 226 of 50 001
+    # reflected points are queried exactly (42 280 with distance bounds)
+    asked = counting_index(monkeypatch)
+    traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 500.0, 50001)
+    asked.append(0)
+    trajectory.mirror_symmetry_check(traj, mems_curve(257))
+    assert 0 < asked[-1] < 1000
+
+
 def test_plane_reductions_share_one_tree(monkeypatch):
     # the MEMS and Werner coverage, the MEMS distance and the mirror score
-    # of one sweep all query the trajectory's one cached (M, C) tree
-    build = trajectory.plane_tree
+    # of one sweep all query the trajectory's one cached (M, C) index
+    build = trajectory.PlaneIndex
     built = []
 
     def counting_build(points):
         built.append(len(points))
         return build(points)
 
-    monkeypatch.setattr(trajectory, "plane_tree", counting_build)
+    monkeypatch.setattr(trajectory, "PlaneIndex", counting_build)
     traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 5001)
     mems = mems_curve(257)
     coverage(traj, mems, epsilon=0.02)
@@ -531,7 +660,7 @@ def test_mirror_score_working_memory(delta):
 
 
 def test_plane_reductions_keep_one_copy_of_the_points():
-    # the tree is built over the sweep's read-only (n, 2) plane array
+    # the index is built over the sweep's read-only (n, 2) plane array
     # without a copy, and M and C are views of its two columns
     traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 50.0, 5001)
     trajectory.min_mems_distance(traj)
