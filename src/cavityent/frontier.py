@@ -22,6 +22,8 @@ import numpy as np
 from .model import SystemParams
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+# plane coordinates are refused beyond it, so no squared distance overflows
+PLANE_LIMIT = 1e150
 
 WERNER = "werner"
 MEMS_CM = "mems"
@@ -46,8 +48,8 @@ class FrontierCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError(f"curve needs an (n, 2) array with n >= 2, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("curve points must be finite")
+        if not np.all(np.abs(pts) <= PLANE_LIMIT):
+            raise ValueError(f"{self.kind} curve points must be finite and within {PLANE_LIMIT:g}")
         if np.any(np.diff(pts[:, 0]) <= 0):
             raise ValueError("linear entropy must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -214,9 +216,9 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
 
     The curve is resampled to 4096 points by arc length; the covered
     fraction is the share of them within epsilon of a trajectory point.
-    Only resampled points whose distance bounds (traj.distance_bounds)
-    leave open the minimum or the side of epsilon are queried exactly
-    (traj.nearest_distances), so both numbers equal those of all 4096
+    One nearest_distances query capped at epsilon answers every resampled
+    point exactly at or below epsilon and above it elsewhere, and the
+    smallest distance exactly, so both numbers equal those of all 4096
     exact distances.
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
@@ -224,16 +226,11 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
     if curve.kind not in (MEMS_CM, WERNER):
         raise ValueError(f"coverage needs a MEMS or Werner curve, not {curve.kind!r}")
     dense = _polyline_resample(curve.points)
-    lower, upper = traj.distance_bounds(dense)
-    undecided = (lower <= epsilon) & (upper > epsilon)
-    queried = undecided | (lower <= upper.min())
-    dist = traj.nearest_distances(dense[queried])
-    # a point left unqueried is covered exactly when its upper bound is
-    covered = np.count_nonzero(dist <= epsilon) + np.count_nonzero(upper[~queried] <= epsilon)
+    dist = traj.nearest_distances(dense, cap=epsilon)
     # uniform arc-length resampling: covered fraction is a sample mean
     return CoverageReport(
         min_distance=float(dist.min()),
-        fraction_covered=covered / len(dense),
+        fraction_covered=np.count_nonzero(dist <= epsilon) / len(dense),
     )
 
 

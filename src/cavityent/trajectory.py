@@ -17,13 +17,15 @@ clipped. The arrays are read-only; purity is read off the linear entropy.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import analytic, evolution
-from .frontier import MEMS_CM, TSIRELSON, FrontierCurve, mems_curve
+from .frontier import MEMS_CM, PLANE_LIMIT, TSIRELSON, FrontierCurve, mems_curve
 from .model import SystemParams, check_times
 
 ANALYTIC = "analytic"
@@ -33,7 +35,6 @@ RK4 = "rk4"
 # times per block, so a block's temporaries (1 MiB for the spectral factor
 # or the RK4 states, each (4096, 16) complex) are the same for every grid
 _BLOCK = 4096
-_BOUND_STRIDE = 16
 _MIRROR_QUERIES = 64  # reflected points that the mirror score queries at a time
 
 # each source's X-state entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge)
@@ -75,8 +76,8 @@ class Trajectory:
         if len(self.gt) == 0:
             raise ValueError("a trajectory needs at least one time")
         for column, name in zip(self.plane.T, ("linear entropy M", "concurrence C")):
-            if not np.all(np.isfinite(column)):
-                raise ValueError(f"{name} has non-finite values")
+            if not (-PLANE_LIMIT <= column.min() and column.max() <= PLANE_LIMIT):
+                raise ValueError(f"{name} has non-finite values or values beyond {PLANE_LIMIT:g}")
 
     def __len__(self) -> int:
         return len(self.gt)
@@ -87,52 +88,11 @@ class Trajectory:
         by the MEMS and Werner coverage, min_mems_distance and the mirror score."""
         return PlaneIndex(self.plane)
 
-    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Exact distance from each (M, C) query to its nearest point."""
-        return self.tree.query(queries)
-
-    def distance_bounds(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds on every query's nearest distance.
-
-        Every 16th query and the last are answered by one nearest_distances
-        call; their bounds are that exact distance. The nearest distance d
-        is 1-Lipschitz, so a query q at chord |q - q_a| from its left sample
-        q_a (index 16 (i // 16)) has d_a - |q - q_a| <= d(q) <= d_a + |q - q_a|,
-        in any query order; the bounds are tight where consecutive queries
-        are close. Each bound is padded outward by 1e-12 relative plus 1e-12
-        absolute, so that rounding in the index's distances and in the chord
-        cannot move a bound past the exact distance; a bound that does not
-        clear a threshold by the pad leaves that query to be answered exactly.
-        An upper bound is also cut to the query's seed (PlaneIndex.seeds).
-
-        The reductions over the bounds stay exact: they call nearest_distances
-        on every query that attains or could attain their result, and the
-        index answers each query independently of the rest of its batch.
-        """
-        n = len(queries)
-        if n == 0:
-            return np.empty(0), np.empty(0)
-        # first, so that the seeds' temporaries do not meet the bounds'
-        seeds = self.tree.seeds(queries)
-        samples = np.append(np.arange(0, n - 1, _BOUND_STRIDE), n - 1)
-        exact = self.nearest_distances(queries[samples])
-        left = np.arange(n) // _BOUND_STRIDE
-        d_left = exact[left]
-        left *= _BOUND_STRIDE
-        step = queries - queries[left]
-        chord = np.hypot(step[:, 0], step[:, 1])
-        # pad = 1e-12 (d_left + chord) + 1e-12, lower = d_left - chord - pad and
-        # upper = d_left + chord + pad, in that order, with one temporary each
-        pad = d_left + chord
-        pad *= 1e-12
-        pad += 1e-12
-        lower = d_left - chord
-        lower -= pad
-        upper = np.add(d_left, chord, out=d_left)
-        upper += pad
-        np.minimum(upper, seeds, out=upper)
-        lower[samples] = upper[samples] = exact
-        return lower, upper
+    def nearest_distances(self, queries: np.ndarray, cap: float = np.inf) -> np.ndarray:
+        """Distance from each (M, C) query to its nearest point, exact where
+        it is at most ``cap`` or the smallest seed; elsewhere it lies above
+        ``cap`` and at most the exact distance (PlaneIndex.query)."""
+        return self.tree.query(queries, cap)
 
 
 # the plane index's points per leaf, Morton cells per axis and pairs pruned at once
@@ -149,11 +109,12 @@ class PlaneIndex:
     under a 4-ary hierarchy of bounding boxes. A query's seed, its distance
     to the nearest point of the leaf that its code falls in, bounds its
     nearest distance from above (0 on a point sharing its cell with no
-    other). ``query`` descends from the seed, _PAIRS (query, box) pairs at a
-    time: a box's farthest corner lowers the squared bound, and a box not
-    nearer than the bound is dropped; the leaves left give the minimum of
-    dx*dx + dy*dy. Rounding is monotone, so the box bounds hold for the
-    rounded distances and the answer is the brute-force one bit for bit.
+    other). ``query`` descends from the seed, or from the cap's bound if
+    lower, _PAIRS (query, box) pairs at a time: a box's farthest corner
+    lowers the squared bound, and a box not nearer than the bound is
+    dropped; the leaves left give the minimum of dx*dx + dy*dy. Rounding is
+    monotone, so the box bounds hold for the rounded distances and an
+    uncapped answer is the brute-force one bit for bit.
     """
 
     def __init__(self, points: np.ndarray):
@@ -216,9 +177,20 @@ class PlaneIndex:
             self._descend(qx, qy, bound, depth + 1, np.repeat(owner[part], 4),
                           (4 * box[part, None] + np.arange(4)).ravel())
 
-    def query(self, queries: np.ndarray) -> np.ndarray:
-        """Exact distance from each (n, 2) query to its nearest point."""
+    def query(self, queries: np.ndarray, cap: float = np.inf) -> np.ndarray:
+        """Distance from each (n, 2) query to its nearest point, capped: the
+        squared bounds start at most at C = max(smallest seed^2, the square of
+        the double after ``cap``, the least normal double), so sqrt(C) > cap.
+        The descent lowers a bound only to squared distances or box corners,
+        never below the exact d^2, so each answer is sqrt(min(d^2, C)): exact
+        where d is at most ``cap`` or the smallest seed, above ``cap`` and at
+        most d elsewhere, and exact everywhere at the default cap, inf."""
+        if not cap >= 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
         bound = self._seed_sq(queries)
+        after = math.nextafter(cap, math.inf)
+        np.minimum(bound, max(bound.min(initial=np.inf), after * after, sys.float_info.min),
+                   out=bound)
         for lo in range(0, len(queries), _PAIRS):
             owner = np.arange(lo, min(lo + _PAIRS, len(queries)))
             self._descend(queries[:, 0], queries[:, 1], bound, 0, owner, np.zeros_like(owner))
@@ -384,8 +356,6 @@ def initial_linear_entropy(p: SystemParams) -> float:
 
 def min_mems_distance(traj: Trajectory) -> float:
     """Smallest Euclidean (M, C)-plane distance to the MEMS frontier,
-    sampled at 4097 points; only the samples whose distance bounds
-    (Trajectory.distance_bounds) can reach the smallest one are queried."""
-    curve_pts = mems_curve(4097).points
-    lower, upper = traj.distance_bounds(curve_pts)
-    return float(traj.nearest_distances(curve_pts[lower <= upper.min()]).min())
+    sampled at 4097 points: one query capped at 0, exact at its minimum,
+    which lies within the smallest seed."""
+    return float(traj.nearest_distances(mems_curve(4097).points, cap=0.0).min())

@@ -107,13 +107,19 @@ class TestFrontierCurve:
             assert frontier.FrontierCurve(kind, pts).kind == kind
 
     def test_rejects_non_finite_points(self):
-        # NaN fails every comparison, so the monotonicity check alone passes it
-        for bad in (np.nan, np.inf):
+        # NaN fails every comparison, so the monotonicity check alone passes
+        # it; a knot past the plane limit would overflow a squared distance
+        for bad in (np.nan, np.inf, np.nextafter(1e150, 2e150), -1e200):
             for idx in ((0, 0), (1, 0), (1, 1)):
                 pts = np.array([[0.0, 1.0], [0.5, 0.7], [1.0, 0.0]])
                 pts[idx] = bad
-                with pytest.raises(ValueError, match="finite"):
+                with pytest.raises(ValueError, match="werner curve points must be finite"):
                     frontier.FrontierCurve("werner", pts)
+        lim = frontier.PLANE_LIMIT
+        curve = frontier.FrontierCurve("mems", np.array([[-lim, lim], [lim, -lim]]))
+        traj = oracles.plane_trajectory(np.array([lim]), np.array([lim]))
+        rep = frontier.coverage(traj, curve, epsilon=lim)
+        assert rep.min_distance == pytest.approx(np.sqrt(2.0) * lim, rel=1e-6)
 
     def test_linear_interpolation(self):
         curve = frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -294,9 +300,10 @@ class TestCoverage:
         assert rep.min_distance == pytest.approx(0.1 / np.sqrt(2), abs=1e-3)
 
     def test_epsilon_equal_to_a_distance_along_a_ray(self):
-        # the distance to one point changes linearly along a straight curve,
-        # so the unpadded bounds d_a -/+ chord meet it up to rounding and
-        # land on either side of an epsilon that is one of the distances
+        # the distance to one point changes nearly linearly along a straight
+        # curve, so many resampled points lie close to an epsilon that is one
+        # of the distances, and the query capped at epsilon must place each
+        # on the same side of it as its exact distance
         curve = self.curve()
         for m, c in ([1.2, -0.2], [-0.3, 1.3]):
             traj = oracles.plane_trajectory(np.array([m]), np.array([c]))
