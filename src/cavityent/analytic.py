@@ -24,20 +24,24 @@ import numpy as np
 from .model import SystemParams, check_times
 
 
-def _reduced_coeffs(p: SystemParams, gt):
-    """Coefficients of the reduced-state term list (before Hermitian closure),
-    dephased at rate p.gamma.
+def x_state_entries(p: SystemParams, gt):
+    """The entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) that fix the
+    reduced two-atom X-state on a grid of scaled times, arrays of gt's shape;
+    the other entries are 0 but rho_ge,eg = conj(rho_eg,ge).
 
-    Returns (c_plus, c_minus, c_gg, c_cross); c_minus is a constant. The
-    frequencies are Omega (every cos Omega t term) and (Omega +- Delta)/2
-    (the two B+/B- coherence exponentials); a coherence at frequency w
-    decays as exp(-gamma w^2 t / 2), exactly 1 at gamma = 0.
+    Exact for every lambda_ and for pure phase decoherence at rate gamma: a
+    coherence at frequency w, Omega (every cos Omega t term) or
+    (Omega +- Delta)/2 (the two B+/B- coherence exponentials), decays as
+    exp(-gamma w^2 t / 2), exactly 1 at gamma = 0. With
+    |B+-> = (|eg> +- |ge>)/sqrt 2 the term list X = c+ |B+><B+| +
+    c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-| is, on (|eg>, |ge>),
+    (1/2)[[c+ + c- + c_x, c+ - c- - c_x], [c+ - c- + c_x, c+ + c- - c_x]].
+    c+, c- and c_gg are real, so the nonzero entries of rho = X + X^dagger are
+      rho_eg,eg = c+ + c- + Re c_x,  rho_ge,ge = c+ + c- - Re c_x,
+      rho_gg,gg = 2 c_gg,  rho_eg,ge = conj(rho_ge,eg) = c+ - c- - i Im c_x.
     """
-    t = gt / p.g
-    omega = p.omega
-    r = p.delta / omega
-    lam = p.lambda_
-    gamma = p.gamma
+    t = check_times(gt) / p.g
+    omega, r, lam, gamma = p.omega, p.delta / p.omega, p.lambda_, p.gamma
     # the damping factors first: computed after the cosine, they raised the
     # peak RSS of a 50 001-point sweep by about 1 MB
     damp_cos = np.exp(-gamma * t / 2.0 * omega**2)
@@ -51,23 +55,6 @@ def _reduced_coeffs(p: SystemParams, gt):
         (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0) * damp_p
         + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0) * damp_m
     )
-    return c_plus, c_minus, c_gg, c_cross
-
-
-def x_state_entries(p: SystemParams, gt):
-    """The entries (rho_eg,eg, rho_ge,ge, rho_gg,gg, rho_eg,ge) that fix the
-    reduced two-atom X-state on a grid of scaled times, arrays of gt's shape;
-    the other entries are 0 but rho_ge,eg = conj(rho_eg,ge).
-
-    Exact for every lambda_ and for pure phase decoherence at rate gamma.
-    With |B+-> = (|eg> +- |ge>)/sqrt 2 the term list X = c+ |B+><B+| +
-    c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-| is, on (|eg>, |ge>),
-    (1/2)[[c+ + c- + c_x, c+ - c- - c_x], [c+ - c- + c_x, c+ + c- - c_x]].
-    c+, c- and c_gg are real, so the nonzero entries of rho = X + X^dagger are
-      rho_eg,eg = c+ + c- + Re c_x,  rho_ge,ge = c+ + c- - Re c_x,
-      rho_gg,gg = 2 c_gg,  rho_eg,ge = conj(rho_ge,eg) = c+ - c- - i Im c_x.
-    """
-    c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, check_times(gt))
     c_sum, eg_ge = c_plus + c_minus, (c_plus - c_minus) - 1j * c_cross.imag
     return c_sum + c_cross.real, c_sum - c_cross.real, 2.0 * c_gg, eg_ge
 

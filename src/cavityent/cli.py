@@ -95,21 +95,34 @@ def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: 
             out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _real(text: str) -> float:
+    # argparse prints an ArgumentTypeError's reason, as the config file does
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _source(text: str) -> str:
     if text not in trajectory.SOURCES:
-        raise ValueError(f"unknown source {text!r}; expected one of {trajectory.SOURCES}")
+        raise argparse.ArgumentTypeError(
+            f"unknown source {text!r}; expected one of {trajectory.SOURCES}")
     return text
 
 
-# config-file key -> (_run_sweep_to_csv keyword, type); the evolve flags
-# store into the same keywords
-_CONFIG_KEYS = {
-    "delta": ("delta_over_g", float),
-    "lambda": ("lambda_", float),
-    "gamma": ("gamma_times_g", float),
-    "gt_max": ("gt_max", float),
-    "n_steps": ("n_steps", _row_count),
-    "source": ("source", _source),
+# each evolve parameter, once: config key -> (_run_sweep_to_csv keyword, type,
+# default, help). The key's flag is --KEY with '-' for '_', and its metadata
+# line names the keyword without a trailing '_'; the default n_steps, None,
+# means 5001 rows up to gt_max = 50 and 50001 beyond
+_EVOLVE_PARAMS = {
+    "delta": ("delta_over_g", _real, 0.0, "detuning Delta/g"),
+    "lambda": ("lambda_", _real, 1.0, "initial excited population of atom 1"),
+    "gamma": ("gamma_times_g", _real, 0.0, "dephasing rate gamma*g"),
+    "gt_max": ("gt_max", _real, 50.0, "last scaled time gt of the grid"),
+    "n_steps": ("n_steps", _row_count, None,
+                "grid points (default 5001 up to gt_max 50, else 50001)"),
+    "source": ("source", _source, trajectory.ANALYTIC,
+               f"reduced-state source, one of {', '.join(trajectory.SOURCES)}"),
 }
 
 
@@ -129,48 +142,31 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _EVOLVE_PARAMS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        field, cast = _CONFIG_KEYS[key]
+        field, cast, _, _ = _EVOLVE_PARAMS[key]
         if field in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
             values[field] = cast(value.strip())
-        except (argparse.ArgumentTypeError, ValueError) as exc:
+        except argparse.ArgumentTypeError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _run_sweep_to_csv(
-    output: str,
-    timestamp: bool,
-    command: str,
-    *,
-    delta_over_g: float = 0.0,
-    lambda_: float = 1.0,
-    gamma_times_g: float = 0.0,
-    gt_max: float = 50.0,
-    n_steps: int | None = None,
-    source: str = trajectory.ANALYTIC,
-):
-    if n_steps is None:
-        n_steps = 5001 if gt_max <= 50.0 else 50001
-    # internal unit system: g = 1, so delta and gamma carry the flag values
-    # directly
-    p = SystemParams(g=1.0, delta=delta_over_g, lambda_=lambda_, gamma=gamma_times_g)
-    traj = trajectory.sweep(p, gt_max, n_steps, source)
-    meta = {
-        "command": command,
-        "delta_over_g": _fmt(delta_over_g),
-        "lambda": _fmt(lambda_),
-        "gamma_times_g": _fmt(gamma_times_g),
-        "gt_max": _fmt(gt_max),
-        "n_steps": n_steps,
-        "source": source,
-    }
-    rows = np.column_stack(
-        [traj.gt, traj.concurrence, traj.linear_entropy, traj.bell_max, traj.purity]
-    )
+def _run_sweep_to_csv(output: str, timestamp: bool, command: str, **given):
+    kw = {field: default for field, _, default, _ in _EVOLVE_PARAMS.values()} | given
+    if kw["n_steps"] is None:
+        kw["n_steps"] = 5001 if kw["gt_max"] <= 50.0 else 50001
+    # g = 1 internally, so delta and gamma are the flag values
+    p = SystemParams(g=1.0, delta=kw["delta_over_g"], lambda_=kw["lambda_"],
+                     gamma=kw["gamma_times_g"])
+    traj = trajectory.sweep(p, kw["gt_max"], kw["n_steps"], kw["source"])
+    meta = {"command": command}
+    for field, cast, _, _ in _EVOLVE_PARAMS.values():
+        meta[field.rstrip("_")] = _fmt(kw[field]) if cast is _real else kw[field]
+    rows = np.column_stack([traj.gt, traj.concurrence, traj.linear_entropy,
+                            traj.bell_max, traj.purity])
     _write_csv(output, meta, TRAJECTORY_HEADER, rows, timestamp)
 
 
@@ -179,11 +175,8 @@ def cmd_evolve(args) -> int:
     # the evolve flags default to SUPPRESS, so only flags actually given are
     # in args, and they override the file; _run_sweep_to_csv's defaults
     # supply the rest
-    fields.update(
-        (field, getattr(args, field))
-        for field, _ in _CONFIG_KEYS.values()
-        if hasattr(args, field)
-    )
+    fields.update((field, getattr(args, field))
+                  for field, *_ in _EVOLVE_PARAMS.values() if hasattr(args, field))
     _run_sweep_to_csv(args.output, not args.no_timestamp, "evolve", **fields)
     return 0
 
@@ -277,15 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep trajectory metrics over time",
         argument_default=argparse.SUPPRESS,
     )
-    ev.add_argument("--delta", dest="delta_over_g", type=float, metavar="DELTA",
-                    help="detuning Delta/g")
-    ev.add_argument("--lambda", dest="lambda_", type=float, metavar="LAMBDA",
-                    help="initial excited population of atom 1")
-    ev.add_argument("--gamma", dest="gamma_times_g", type=float, metavar="GAMMA",
-                    help="dephasing rate gamma*g")
-    ev.add_argument("--gt-max", dest="gt_max", type=float)
-    ev.add_argument("--n-steps", dest="n_steps", type=_row_count)
-    ev.add_argument("--source", choices=trajectory.SOURCES)
+    for key, (field, cast, _, text) in _EVOLVE_PARAMS.items():
+        ev.add_argument(f"--{key.replace('_', '-')}", dest=field, type=cast,
+                        metavar=key.upper(), help=text)
     ev.add_argument("--config", default=None,
                     help="key=value config file; flags given on the command line win")
     add_common(ev)

@@ -66,7 +66,10 @@ class RationalityReport:
     ratio: float
     convergents: list[tuple[int, int]]
     best_q: int | None
-    classification: str
+
+    @property
+    def classification(self) -> str:
+        return EFFECTIVELY_IRRATIONAL if self.best_q is None else EFFECTIVELY_RATIONAL
 
 
 def werner_curve(n_points: int) -> FrontierCurve:
@@ -262,22 +265,10 @@ def classify_ratio(p: SystemParams, tol: float, q_max: int) -> RationalityReport
     ratio = p.delta / p.omega
     exact = Fraction(ratio)
     convergents = continued_fraction_convergents(exact, q_max)
+    # the first convergent within tol, else the best approximation with a
+    # denominator up to q_max if that is within tol
+    best_q = next((q for pq, q in convergents if abs(ratio - pq / q) < tol), None)
     best = exact.limit_denominator(q_max)
-    best_q: int | None = None
-    if abs(ratio - best.numerator / best.denominator) < tol:
-        # smallest convergent denominator already inside the tolerance
-        for pq, q in convergents:
-            if abs(ratio - pq / q) < tol:
-                best_q = q
-                break
-        if best_q is None:
-            best_q = best.denominator
-    classification = (
-        EFFECTIVELY_RATIONAL if best_q is not None else EFFECTIVELY_IRRATIONAL
-    )
-    return RationalityReport(
-        ratio=ratio,
-        convergents=convergents,
-        best_q=best_q,
-        classification=classification,
-    )
+    if best_q is None and abs(ratio - best.numerator / best.denominator) < tol:
+        best_q = best.denominator
+    return RationalityReport(ratio=ratio, convergents=convergents, best_q=best_q)

@@ -161,6 +161,9 @@ class PlaneIndex:
         return out
 
     def _seed_sq(self, q: np.ndarray) -> np.ndarray:
+        """Each query's squared seed; refuses queries past PLANE_LIMIT or non-finite."""
+        if not -PLANE_LIMIT <= q.min(initial=0.0) <= q.max(initial=0.0) <= PLANE_LIMIT:
+            raise ValueError(f"queries must be finite and within {PLANE_LIMIT:g}")
         leaf = np.searchsorted(self._first, self._codes(q), side="right") - 1
         return self._leaf_sq(q[:, 0], q[:, 1], np.maximum(leaf, 0))
 

@@ -10,8 +10,8 @@ them with full-space runs and check that no population leaves the block.
 Full-space RK4 runs use the classical per-step loop, rk4_run, so they check
 the library's matrix-power RK4 against an independent integrator.
 
-The reduced state in the printed projector form checks the library's
-entry-by-entry build of it.
+The reduced state in the printed projector form, with its coefficients
+written out as printed, checks the library's entry-by-entry closed form.
 
 Two-qubit references: the Werner and MEMS states, the eigenvalue route to
 the Wootters concurrence, the MEMS excess of sampled states and linear
@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cavityent.analytic import _reduced_coeffs
 from cavityent.frontier import BELL_FRONTIER, mems_concurrence_at
 from cavityent.metrics import linear_entropy_many, wootters_concurrence_many
 from cavityent.model import (
@@ -265,16 +264,31 @@ def rho_full_analytic(p: SystemParams, gt: float) -> np.ndarray:
 
 def rho_s_term_list(p: SystemParams, gt) -> np.ndarray:
     """Reduced two-atom states in the printed projector form, X + X^dagger
-    with X = c+ |B+><B+| + c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-|, from
-    the library's coefficients; shape gt.shape + (4, 4)."""
-    c_plus, c_minus, c_gg, c_cross = _reduced_coeffs(p, check_times(gt))
+    with X = c+ |B+><B+| + c- |B-><B-| + c_gg |gg><gg| + c_x |B+><B-| and the
+    coefficients as printed:
+      c+ = (lambda/8)(1 + r^2 + (1 - r^2) cos Omega t),  c- = lambda/4,
+      c_gg = (g^2 lambda / Omega^2)(1 - cos Omega t) + (1 - lambda)/2,
+      c_x = (lambda/4)((1 - r) e^{i(Omega + Delta)t/2} + (1 + r) e^{-i(Omega - Delta)t/2}),
+    r = Delta/Omega, each oscillation e^{iwt} dephased to
+    e^{iwt - gamma w^2 t/2}; shape gt.shape + (4, 4)."""
+    t = check_times(gt) / p.g
+    omega, r, lam = p.omega, p.delta / p.omega, p.lambda_
+
+    def wave(w):
+        return np.exp(1j * w * t - p.gamma * w * w * t / 2.0)
+
+    cos_ot = wave(omega).real
+    c_x = lam / 4.0 * ((1.0 - r) * wave((omega + p.delta) / 2.0)
+                       + (1.0 + r) * wave(-(omega - p.delta) / 2.0))
     gg = np.zeros(4, dtype=complex)
     gg[IDX_GG] = 1.0
+    c_plus = lam / 8.0 * (1.0 + r**2 + (1.0 - r**2) * cos_ot)
+    c_gg = p.g**2 * lam / omega**2 * (1.0 - cos_ot) + (1.0 - lam) / 2.0
     terms = (
         (c_plus, np.outer(BELL_PLUS, BELL_PLUS.conj())),
-        (c_minus, np.outer(BELL_MINUS, BELL_MINUS.conj())),
+        (lam / 4.0, np.outer(BELL_MINUS, BELL_MINUS.conj())),
         (c_gg, np.outer(gg, gg.conj())),
-        (c_cross, np.outer(BELL_PLUS, BELL_MINUS.conj())),
+        (c_x, np.outer(BELL_PLUS, BELL_MINUS.conj())),
     )
     x = sum(np.asarray(c)[..., None, None] * proj for c, proj in terms)
     return x + np.swapaxes(x, -1, -2).conj()

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent.cli import FIGURE_PRESETS, MAX_ROWS, _row_count, _write_csv, main
+from cavityent.cli import (
+    _EVOLVE_PARAMS, FIGURE_PRESETS, MAX_ROWS, _row_count, _write_csv, main,
+)
 from cavityent.frontier import bell_envelope_candidate
 
 
@@ -225,6 +227,39 @@ class TestEvolve:
         assert f"{cfg}:2: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", _EVOLVE_PARAMS)
+    def test_flag_and_config_key_mean_the_same(self, tmp_path, capsys, key):
+        # one value that parses and one that does not, for each parameter
+        good, bad = {
+            "delta": ("0.25", "abc"), "lambda": ("0.8", "0.5 # half"),
+            "gamma": ("0.01", "1e"), "gt_max": ("3", ""), "n_steps": ("7", "2.5"),
+            "source": ("spectral", "euler"),
+        }[key]
+        flag, cfg = f"--{key.replace('_', '-')}", tmp_path / "run.cfg"
+        outputs = []
+        for value in (good, bad):
+            cfg.write_text(f"{key} = {value}\n")
+            for route in ([flag, value], ["--config", str(cfg)]):
+                out = tmp_path / f"{len(outputs)}.csv"
+                try:
+                    code = main(["evolve", *route, "--no-timestamp", "-o", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+                assert code == (0 if value is good else 2)
+                err = capsys.readouterr().err.splitlines()
+                outputs.append(out.read_bytes() if value is good else err[-1])
+        assert outputs[0] == outputs[1]
+        prefix = f"cavityent evolve: error: argument {flag}: "
+        assert outputs[2].startswith(prefix)
+        assert outputs[3] == f"error: {cfg}:1: {key}: " + outputs[2][len(prefix):]
+
+    def test_help_names_every_parameter(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["evolve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for key, (_, _, _, explanation) in _EVOLVE_PARAMS.items():
+            assert f"--{key.replace('_', '-')} {key.upper()} {explanation}" in text
+
     @pytest.mark.parametrize("name", ["missing.cfg", ".", "latin1.cfg", ""])
     def test_unreadable_config_exit_2(self, tmp_path, capsys, name):
         # a config path is a parameter: one that cannot be read (missing, a
@@ -297,6 +332,22 @@ class TestFigure:
             "1a", "1b", "1c", "2a", "2b", "2c",
             "3a", "3b", "3c", "4a", "4b", "4c",
         }
+        # (Delta/g, lambda, gamma g, gt_max) as printed in each caption; the
+        # panels of figure 3 are in the Bell plane
+        captions = {
+            "1a": (0.0, 1.0, 0.0, 50.0), "1b": (0.5, 1.0, 0.0, 50.0), "1c": (5.0, 1.0, 0.0, 50.0),
+            "2a": (0.5, 0.9, 0.0, 500.0), "2b": (0.5, 0.7, 0.0, 500.0),
+            "2c": (0.5, 0.6, 0.0, 500.0), "3a": (0.0, 1.0, 0.0, 500.0),
+            "3b": (0.01, 1.0, 0.0, 500.0), "3c": (5.0, 1.0, 0.0, 500.0),
+            "4a": (0.0, 1.0, 0.01, 500.0), "4b": (0.5, 1.0, 0.01, 500.0),
+            "4c": (1.0, 1.0, 0.01, 500.0),
+        }
+        keywords = ["delta_over_g", "lambda_", "gamma_times_g", "gt_max"]
+        assert [field for field, *_ in _EVOLVE_PARAMS.values()][:4] == keywords
+        for tag, (settings, kinds) in FIGURE_PRESETS.items():
+            assert list(settings) == keywords
+            assert tuple(settings.values()) == captions[tag]
+            assert kinds == (("bell",) if tag[0] == "3" else ("werner", "mems"))
 
     def test_figure_1a_bundle(self, tmp_path):
         code = main([
@@ -531,18 +582,20 @@ def _argv(*parts):
         lambda drawn: [a for part in drawn for a in ([part] if isinstance(part, str) else part)])
 
 
+STAMP = st.sampled_from([[], ["--no-timestamp"]])
 CLI_ARGVS = {
-    "evolve": _argv("evolve", "--n-steps", VALID_COUNT | COUNT, "--source",
+    "evolve": _argv("evolve", STAMP, "--n-steps", VALID_COUNT | COUNT, "--source",
                     st.sampled_from(["analytic", "spectral", "rk4"]),
                     _flags(**{"--delta": EXTREME, "--lambda": EXTREME, "--gamma": EXTREME,
                               "--gt-max": EXTREME}), "-o", "{out}/t.csv"),
-    "figure": _argv("figure", st.sampled_from(["1a", "9z"]),
+    "figure": _argv("figure", st.sampled_from(["1a", "9z"]), STAMP,
                     _flags(**{"--n-points": COUNT, "--seed": INTEGER}),
                     "--output-dir", "{out}/bundle"),
-    "frontier": _argv("frontier", "--kind", st.sampled_from(["werner", "mems", "bell"]),
+    "frontier": _argv("frontier", STAMP, "--kind", st.sampled_from(["werner", "mems", "bell"]),
                       _flags(**{"--n-points": COUNT, "--seed": INTEGER}), "-o", "{out}/f.csv"),
-    "recurrences": _argv("recurrences", _flags(**{"--delta": EXTREME, "--k-max": COUNT,
-                                                  "--tol": EXTREME, "--q-max": INTEGER}),
+    "recurrences": _argv("recurrences", STAMP,
+                         _flags(**{"--delta": EXTREME, "--k-max": COUNT, "--tol": EXTREME,
+                                   "--q-max": INTEGER}),
                          "-o", "{out}/r.csv"),
 }
 
@@ -562,10 +615,14 @@ def test_cli_contract(command, data):
                 code = exc.code
         lines = err.getvalue().splitlines()
         written = [p for p in Path(out).rglob("*") if p.is_file()]
+        # a written file carries the generated-at line exactly when the
+        # flag is absent
+        stamped = {"\n# generated = " in p.read_text() for p in written}
     assert [str(w.message) for w in caught] == []
     assert code in (0, 2), lines
     if code == 0:
         assert lines == [] and written
+        assert stamped == {"--no-timestamp" not in argv}
         return
     assert written == []
     # one error line from the library, or argparse's usage and error lines

@@ -82,6 +82,20 @@ class TestRK4:
         rho = (prop @ rho0.reshape(16)).reshape(4, 4)
         assert np.abs(rho - rho0).max() < 1e-10
 
+    def test_default_step_count(self, monkeypatch):
+        # the default step is 0.005 / (Omega sqrt(1 + (gamma Omega / 2)^2)):
+        # 598 steps over gt = 1 here, and one for the zero-length interval
+        counts = []
+        propagator = evolution._rk4_propagator
+
+        def recording(p, t, n_steps):
+            counts.append(n_steps)
+            return propagator(p, t, n_steps)
+
+        monkeypatch.setattr(evolution, "_rk4_propagator", recording)
+        evolution.evolve_rk4_grid(params(delta=0.5, lambda_=0.7, gamma=0.2), [0.0, 1.0])
+        assert counts == [1, 598]
+
     def test_agrees_with_spectral(self):
         p = params(delta=0.5, gamma=0.01)
         got = evolution.evolve_rk4(p, 5.0, dt=0.01 / p.omega, check_step=False)
@@ -236,6 +250,8 @@ class TestDephasedOracle:
         assert np.abs(got - analytic.concurrence_closed(p, gts)).max() < 1e-9
 
     def test_strong_dephasing_reaches_stationary_value(self):
-        p = params(delta=0.5, gamma=1.0)
-        got = evolution.dephased_concurrence_oracle(p, 500.0)
-        assert got == pytest.approx(analytic.stationary_concurrence(p), abs=1e-4)
+        # also at g = 2, where g^2 / Omega^2 differs from its g = 1 value
+        for g, delta in ((1.0, 0.5), (2.0, 0.5)):
+            p = params(g=g, delta=delta, gamma=1.0)
+            got = evolution.dephased_concurrence_oracle(p, 500.0)
+            assert got == pytest.approx(analytic.stationary_concurrence(p), abs=1e-4)

@@ -120,6 +120,17 @@ class TestFrontierCurve:
         traj = oracles.plane_trajectory(np.array([lim]), np.array([lim]))
         rep = frontier.coverage(traj, curve, epsilon=lim)
         assert rep.min_distance == pytest.approx(np.sqrt(2.0) * lim, rel=1e-6)
+        # a nearest-distance query is held to the same limit: up to it the
+        # answer is the brute-force one, beyond it or non-finite it is refused
+        points = np.array([[-lim, lim], [lim, -lim], [0.0, 0.0]])
+        traj = oracles.plane_trajectory(points[:, 0], points[:, 1])
+        for q in ([lim, lim], [-lim, 0.0], [0.5, -lim]):
+            exact = np.sqrt(((points - q) ** 2).sum(axis=1)).min()
+            assert traj.nearest_distances(np.array([q]))[0] == exact
+        for bad in ([np.nan, 0.0], [np.inf, 0.0], [1e200, 0.0]):
+            for ask in (traj.nearest_distances, traj.tree.seeds):
+                with pytest.raises(ValueError, match="queries must be finite and within 1e"):
+                    ask(np.array([bad]))
 
     def test_linear_interpolation(self):
         curve = frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -208,6 +219,14 @@ class TestMems:
         lower = (m > 16.0 / 27.0) & (m < 0.8)
         assert gap[upper].min() < 1e-3
         assert gap[lower].min() < 1e-3
+
+
+    def test_oracle_finds_states_above_a_lowered_frontier(self, monkeypatch):
+        # mems_oracle_excess is not vacuous: against a frontier 10% too low
+        # it reports the states above it (0.073 to 0.081 over seeds 0-2)
+        true = frontier.mems_concurrence_at
+        monkeypatch.setattr(frontier, "mems_concurrence_at", lambda m: 0.9 * true(m))
+        assert frontier.mems_oracle_excess(2000, seed=0) > 0.05
 
 
 class TestBellFrontier:

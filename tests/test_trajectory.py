@@ -64,6 +64,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="bell_max"):
             trajectory.sweep(params(delta=0.5), 10.0, 11)
 
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("concurrence", 0.0, 1.0), ("linear_entropy", 0.0, 1.0), ("bell_max", 0.0, TSIRELSON),
+    ])
+    def test_raw_metric_within_slack_is_clipped(self, monkeypatch, name, lo, hi):
+        # rounding may carry a raw value up to 1e-9 past its range: it is
+        # accepted and clipped onto the bound
+        def slightly_beyond(eg_eg, ge_ge, gg_gg, eg_ge):
+            raw = {key: np.full(len(eg_eg), 0.5) for key in ("concurrence", "linear_entropy",
+                                                             "bell_max")}
+            raw[name][0::2] = hi + 5e-10
+            raw[name][1::2] = lo - 5e-10
+            return raw
+
+        monkeypatch.setattr(trajectory, "_x_entry_readout", slightly_beyond)
+        column = getattr(trajectory.sweep(params(delta=0.5), 10.0, 11), name)
+        assert np.array_equal(column, np.where(np.arange(11) % 2, lo, hi))
+
     def test_sweep_calls_no_general_metric(self, monkeypatch):
         # all four columns come from the X-state read-out, for every source,
         # and the numeric sources read their entries straight off the block
