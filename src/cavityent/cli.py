@@ -49,18 +49,20 @@ FIGURE_PRESETS: dict[str, tuple[dict, tuple[str, ...]]] = {
 MAX_ROWS = 10**6
 
 
-def _row_count(text: str) -> int:
-    """A row count from 0 to MAX_ROWS: the type of --n-steps, --n-points
-    and --k-max and of the n_steps config key, so a negative or huge count
-    exits 2, naming its flag or key, before any work or file write."""
+def _integer(text: str) -> int:
+    """The type of every integer flag and config value; a refusal quotes 20 characters at most."""
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"a row count must be nonnegative, got {n}")
-    if n > MAX_ROWS:
-        raise argparse.ArgumentTypeError(f"{n} rows exceed the limit of {MAX_ROWS}")
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"expected an integer, got {shown}") from None
+
+
+def _row_count(text: str) -> int:
+    """A row count from 0 to MAX_ROWS for --n-steps, --n-points, --k-max and
+    n_steps: a bad one exits 2, naming its flag or key, before any work."""
+    if not 0 <= (n := _integer(text)) <= MAX_ROWS:
+        raise argparse.ArgumentTypeError(f"a row count must be from 0 to {MAX_ROWS}")
     return n
 
 
@@ -282,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("tag", help="figure tag, e.g. 1a, 2c, 3b, 4a")
     fig.add_argument("--output-dir", default=".", help="directory for the CSV bundle")
     fig.add_argument("--n-points", type=_row_count, default=257, help="curve sample count")
-    fig.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    fig.add_argument("--seed", type=_integer, default=0, help=_SEED_HELP)
     fig.add_argument("--no-timestamp", action="store_true")
     fig.set_defaults(func=cmd_figure)
 
     fr = sub.add_parser("frontier", help="emit a reference frontier curve")
     fr.add_argument("--kind", choices=frontier.CURVE_KINDS, required=True)
     fr.add_argument("--n-points", type=_row_count, default=257)
-    fr.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    fr.add_argument("--seed", type=_integer, default=0, help=_SEED_HELP)
     add_common(fr)
     fr.set_defaults(func=cmd_frontier)
 
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--k-max", dest="k_max", type=_row_count, default=100)
     rec.add_argument("--tol", type=float, default=1e-6,
                      help="rational-approximation tolerance for Delta/Omega")
-    rec.add_argument("--q-max", dest="q_max", type=int, default=1000)
+    rec.add_argument("--q-max", dest="q_max", type=_integer, default=1000)
     add_common(rec)
     rec.set_defaults(func=cmd_recurrences)
 

@@ -25,6 +25,20 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 # plane coordinates are refused beyond it, so no squared distance overflows
 PLANE_LIMIT = 1e150
 
+
+def frozen_plane_array(values, name: str) -> np.ndarray:
+    """values as a read-only float array, copied if writable or not owning its
+    data; ValueError naming ``name`` if one is non-finite or beyond PLANE_LIMIT."""
+    array = np.asarray(values, dtype=float)
+    # NaN fails every comparison, and min and max allocate nothing
+    if not -PLANE_LIMIT <= array.min(initial=0.0) <= array.max(initial=0.0) <= PLANE_LIMIT:
+        raise ValueError(f"{name} must be finite and within {PLANE_LIMIT:g}")
+    if array.flags.writeable or not array.flags.owndata:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 WERNER = "werner"
 MEMS_CM = "mems"
 BELL_FRONTIER = "bell"
@@ -45,11 +59,9 @@ class FrontierCurve:
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}; expected one of {CURVE_KINDS}")
-        pts = np.asarray(self.points, dtype=float)
+        pts = frozen_plane_array(self.points, f"{self.kind} curve points")
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError(f"curve needs an (n, 2) array with n >= 2, got shape {pts.shape}")
-        if not np.all(np.abs(pts) <= PLANE_LIMIT):
-            raise ValueError(f"{self.kind} curve points must be finite and within {PLANE_LIMIT:g}")
         if np.any(np.diff(pts[:, 0]) <= 0):
             raise ValueError("linear entropy must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -219,17 +231,16 @@ def coverage(traj, curve: FrontierCurve, epsilon: float) -> CoverageReport:
 
     The curve is resampled to 4096 points by arc length; the covered
     fraction is the share of them within epsilon of a trajectory point.
-    One nearest_distances query capped at epsilon answers every resampled
-    point exactly at or below epsilon and above it elsewhere, and the
-    smallest distance exactly, so both numbers equal those of all 4096
-    exact distances.
+    One PlaneIndex query capped at epsilon is exact at or below epsilon,
+    above it elsewhere and exact at the smallest distance, so both numbers
+    equal those of all 4096 exact distances.
     """
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ValueError("epsilon must be positive and finite")
     if curve.kind not in (MEMS_CM, WERNER):
         raise ValueError(f"coverage needs a MEMS or Werner curve, not {curve.kind!r}")
     dense = _polyline_resample(curve.points)
-    dist = traj.nearest_distances(dense, cap=epsilon)
+    dist = traj.tree.query(dense, cap=epsilon)
     # uniform arc-length resampling: covered fraction is a sample mean
     return CoverageReport(
         min_distance=float(dist.min()),

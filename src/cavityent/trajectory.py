@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic, evolution
-from .frontier import MEMS_CM, PLANE_LIMIT, TSIRELSON, FrontierCurve, mems_curve
+from .frontier import MEMS_CM, TSIRELSON, FrontierCurve, frozen_plane_array, mems_curve
 from .model import SystemParams, check_times
 
 ANALYTIC = "analytic"
@@ -60,13 +60,9 @@ class Trajectory:
     purity = property(lambda self: 1.0 - 0.75 * self.plane[:, 0])
 
     def __post_init__(self):
-        # a writable array, or a plane whose data another array owns, is stored
-        # as a read-only copy, so that no write can leave the cached index stale
+        # checked and stored read-only, so no write can leave the cached index stale
         for name in ("gt", "plane", "bell_max"):
-            column = np.asarray(getattr(self, name), dtype=float)
-            if column.flags.writeable or (name == "plane" and not column.flags.owndata):
-                column = column.copy()
-                column.flags.writeable = False
+            column = frozen_plane_array(getattr(self, name), name)
             object.__setattr__(self, name, column)
             if name != "plane" and (column.ndim != 1 or len(column) != len(self.gt)):
                 raise ValueError(f"{name} must be 1-D with one entry per time in gt, "
@@ -75,9 +71,6 @@ class Trajectory:
             raise ValueError(f"plane must have shape ({len(self.gt)}, 2), got {self.plane.shape}")
         if len(self.gt) == 0:
             raise ValueError("a trajectory needs at least one time")
-        for column, name in zip(self.plane.T, ("linear entropy M", "concurrence C")):
-            if not (-PLANE_LIMIT <= column.min() and column.max() <= PLANE_LIMIT):
-                raise ValueError(f"{name} has non-finite values or values beyond {PLANE_LIMIT:g}")
 
     def __len__(self) -> int:
         return len(self.gt)
@@ -87,12 +80,6 @@ class Trajectory:
         """PlaneIndex over the (M, C) points, built at the first use and shared
         by the MEMS and Werner coverage, min_mems_distance and the mirror score."""
         return PlaneIndex(self.plane)
-
-    def nearest_distances(self, queries: np.ndarray, cap: float = np.inf) -> np.ndarray:
-        """Distance from each (M, C) query to its nearest point, exact where
-        it is at most ``cap`` or the smallest seed; elsewhere it lies above
-        ``cap`` and at most the exact distance (PlaneIndex.query)."""
-        return self.tree.query(queries, cap)
 
 
 # the plane index's points per leaf, Morton cells per axis and pairs pruned at once
@@ -161,9 +148,7 @@ class PlaneIndex:
         return out
 
     def _seed_sq(self, q: np.ndarray) -> np.ndarray:
-        """Each query's squared seed; refuses queries past PLANE_LIMIT or non-finite."""
-        if not -PLANE_LIMIT <= q.min(initial=0.0) <= q.max(initial=0.0) <= PLANE_LIMIT:
-            raise ValueError(f"queries must be finite and within {PLANE_LIMIT:g}")
+        """Each query's squared seed."""
         leaf = np.searchsorted(self._first, self._codes(q), side="right") - 1
         return self._leaf_sq(q[:, 0], q[:, 1], np.maximum(leaf, 0))
 
@@ -190,6 +175,7 @@ class PlaneIndex:
         most d elsewhere, and exact everywhere at the default cap, inf."""
         if not cap >= 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
+        queries = frozen_plane_array(queries, "queries")
         bound = self._seed_sq(queries)
         after = math.nextafter(cap, math.inf)
         np.minimum(bound, max(bound.min(initial=np.inf), after * after, sys.float_info.min),
@@ -201,7 +187,7 @@ class PlaneIndex:
 
     def seeds(self, queries: np.ndarray) -> np.ndarray:
         """Each query's seed, an upper bound on its nearest distance."""
-        return np.sqrt(self._seed_sq(queries))
+        return np.sqrt(self._seed_sq(frozen_plane_array(queries, "queries")))
 
 
 def _prune(qx, qy, bound, boxes, owner, box):
@@ -287,7 +273,7 @@ def sweep(
             f"gt_max = {gt_max:g} is past the phase-precision bound: "
             f"eps (Omega + |Delta|) gt_max = {phase_error:.3g} > {_PHASE_TOL:g}"
         )
-    gts = np.linspace(0.0, gt_max, n_steps)
+    gts = np.linspace(0.0, gt_max, n_steps).copy()  # owns its data, so stored uncopied
     entries = _X_STATE_ENTRIES[source]
     plane = np.empty((n_steps, 2))
     raw = {"concurrence": plane[:, 1], "linear_entropy": plane[:, 0],
@@ -347,7 +333,7 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
         seeds = traj.tree.seeds(reflected)
         while (above := np.flatnonzero(seeds > score)).size:
             top = above[np.argsort(seeds[above])[-_MIRROR_QUERIES:]]
-            seeds[top] = traj.nearest_distances(reflected[top])
+            seeds[top] = traj.tree.query(reflected[top])
             score = max(score, seeds[top].max())
     return float(score)
 
@@ -361,4 +347,4 @@ def min_mems_distance(traj: Trajectory) -> float:
     """Smallest Euclidean (M, C)-plane distance to the MEMS frontier,
     sampled at 4097 points: one query capped at 0, exact at its minimum,
     which lies within the smallest seed."""
-    return float(traj.nearest_distances(mems_curve(4097).points, cap=0.0).min())
+    return float(traj.tree.query(mems_curve(4097).points, cap=0.0).min())

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityent.cli import (
-    _EVOLVE_PARAMS, FIGURE_PRESETS, MAX_ROWS, _row_count, _write_csv, main,
+    _EVOLVE_PARAMS, FIGURE_PRESETS, MAX_ROWS, _integer, _row_count, _write_csv, build_parser,
+    main,
 )
 from cavityent.frontier import bell_envelope_candidate
 
@@ -435,7 +436,7 @@ def test_huge_row_count_exits_2_before_any_work(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([a.format(out=out) for a in argv])
     assert exc.value.code == 2
-    assert "rows exceed the limit" in capsys.readouterr().err
+    assert f"a row count must be from 0 to {MAX_ROWS}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -444,8 +445,68 @@ def test_huge_n_steps_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(f"n_steps = {HUGE}\n")
     out = tmp_path / "t.csv"
     assert main(["evolve", "--config", str(cfg), "-o", str(out)]) == 2
-    assert f"{cfg}:1: n_steps: {HUGE} rows exceed the limit" in capsys.readouterr().err
+    assert f"{cfg}:1: n_steps: a row count must be from 0 to {MAX_ROWS}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each subcommand's arguments before an integer option, "{out}" the output path
+_INTEGER_OPTION_ARGV = {
+    "evolve": ["evolve", "-o", "{out}"],
+    "figure": ["figure", "1a", "--output-dir", "{out}"],
+    "frontier": ["frontier", "--kind", "mems", "-o", "{out}"],
+    "recurrences": ["recurrences", "-o", "{out}"],
+}
+
+
+def integer_options() -> list[tuple[str, str]]:
+    """(subcommand, flag) of every option that parses an integer; none may
+    parse one with a bare int, whose refusal repeats the argument whole."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.type is not int, (command, action.option_strings)
+            if action.type in (_integer, _row_count):
+                found.append((command, action.option_strings[0]))
+    return found
+
+
+def test_integer_options_are_all_found():
+    assert integer_options() == [
+        ("evolve", "--n-steps"), ("figure", "--n-points"), ("figure", "--seed"),
+        ("frontier", "--n-points"), ("frontier", "--seed"), ("recurrences", "--k-max"),
+        ("recurrences", "--q-max"),
+    ]
+
+
+HUGE_TEXT = "1" * 5000
+HUGE_SHOWN = f"expected an integer, got '{'1' * 20}'... (5000 characters)"
+
+
+@pytest.mark.parametrize("command, flag", integer_options())
+def test_huge_integer_argument_is_not_repeated(tmp_path, capsys, command, flag):
+    # int() refuses more than 4300 digits; the one error line names the
+    # flag and quotes 20 characters of the argument and its length
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in _INTEGER_OPTION_ARGV[command]] + [flag, HUGE_TEXT]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"cavityent {command}: error: argument {flag}: {HUGE_SHOWN}"]
+    assert len(errors[0].encode()) < 200
+    assert not out.exists()
+
+
+def test_huge_integer_config_value_is_not_repeated(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(f"n_steps = {HUGE_TEXT}\n")
+    assert main(["evolve", "--config", "run.cfg", "-o", "t.csv"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [f"error: run.cfg:1: n_steps: {HUGE_SHOWN}"]
+    assert len(errors[0].encode()) < 200
+    assert not Path("t.csv").exists()
 
 
 def test_row_count_type():

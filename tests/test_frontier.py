@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import oracles
-from cavityent import frontier, metrics
+from cavityent import frontier, metrics, trajectory
 from cavityent.model import SystemParams
 
 _BELL_KETS = np.array(
@@ -121,16 +121,51 @@ class TestFrontierCurve:
         rep = frontier.coverage(traj, curve, epsilon=lim)
         assert rep.min_distance == pytest.approx(np.sqrt(2.0) * lim, rel=1e-6)
         # a nearest-distance query is held to the same limit: up to it the
-        # answer is the brute-force one, beyond it or non-finite it is refused
+        # answer is the brute-force one (beyond it, see the next test)
         points = np.array([[-lim, lim], [lim, -lim], [0.0, 0.0]])
         traj = oracles.plane_trajectory(points[:, 0], points[:, 1])
         for q in ([lim, lim], [-lim, 0.0], [0.5, -lim]):
             exact = np.sqrt(((points - q) ** 2).sum(axis=1)).min()
-            assert traj.nearest_distances(np.array([q]))[0] == exact
-        for bad in ([np.nan, 0.0], [np.inf, 0.0], [1e200, 0.0]):
-            for ask in (traj.nearest_distances, traj.tree.seeds):
-                with pytest.raises(ValueError, match="queries must be finite and within 1e"):
-                    ask(np.array([bad]))
+            assert traj.tree.query(np.array([q]))[0] == exact
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(1e150, 2e150), -1e200])
+    def test_curve_trajectory_and_query_share_one_refusal(self, bad):
+        # one rule (frozen_plane_array) holds a curve's points, a trajectory's
+        # plane and an index query to the plane limit, with one message form
+        lim = frontier.PLANE_LIMIT
+        edge = np.array([[0.0, lim], [0.5, -lim], [1.0, 0.0]])
+        frontier.FrontierCurve("mems", edge)
+        traj = oracles.plane_trajectory(edge[:, 0], edge[:, 1])
+        assert np.array_equal(traj.tree.query(edge), np.zeros(3))
+        pts = edge.copy()
+        pts[1, 1] = bad
+        for name, refuse in (
+            ("mems curve points", lambda: frontier.FrontierCurve("mems", pts)),
+            ("plane", lambda: oracles.plane_trajectory(pts[:, 0], pts[:, 1])),
+            ("queries", lambda: traj.tree.query(pts)),
+            ("queries", lambda: traj.tree.seeds(pts)),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and within 1e\+150$"):
+                refuse()
+
+    def test_validated_curve_cannot_change(self):
+        # the curve's points are stored read-only, copied from a caller's
+        # array or a view of one, so the reductions that read them later see
+        # what was checked
+        assert not frontier.mems_curve(257).points.flags.writeable
+        given = frontier.mems_curve(257).points.copy()
+        view = given.view()
+        view.flags.writeable = False
+        traj = trajectory.sweep(SystemParams(g=1.0, delta=0.5, lambda_=0.7), 50.0, 5001)
+        for points in (given, view):
+            curve = frontier.FrontierCurve("mems", points)
+            assert not np.shares_memory(curve.points, given)
+            before = (frontier.coverage(traj, curve, 0.02),
+                      trajectory.mirror_symmetry_check(traj, curve))
+            given[:, 1] *= 0.5
+            assert (frontier.coverage(traj, curve, 0.02),
+                    trajectory.mirror_symmetry_check(traj, curve)) == before
+            given[:, 1] *= 2.0
 
     def test_linear_interpolation(self):
         curve = frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -326,7 +361,7 @@ class TestCoverage:
         curve = self.curve()
         for m, c in ([1.2, -0.2], [-0.3, 1.3]):
             traj = oracles.plane_trajectory(np.array([m]), np.array([c]))
-            dist = traj.nearest_distances(frontier._polyline_resample(curve.points))
+            dist = traj.tree.query(frontier._polyline_resample(curve.points))
             for epsilon in dist[1:64]:
                 rep = frontier.coverage(traj, curve, epsilon)
                 assert rep.fraction_covered == np.mean(dist <= epsilon)

@@ -192,15 +192,20 @@ class TestSweep:
         assert not np.shares_memory(traj.plane, owned)
         assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
 
-    @pytest.mark.parametrize("column, name", [(0, "linear entropy M"), (1, "concurrence C")])
+    @pytest.mark.parametrize("name, column", [("plane", 0), ("plane", 1), ("gt", ...),
+                                              ("bell_max", ...)],
+                             ids=["0-linear entropy M", "1-concurrence C", "gt", "bell_max"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(1e150, 2e150), -1e200])
-    def test_trajectory_rejects_non_finite_plane_points(self, column, name, bad):
+    def test_trajectory_rejects_non_finite_plane_points(self, name, column, bad):
         # refused when built, before a NaN could reach the index's cell codes
-        # or a coordinate past frontier.PLANE_LIMIT overflow a squared distance
-        plane = np.full((5, 2), 0.25)
-        plane[3, column] = bad
-        with pytest.raises(ValueError, match=f"^{name} has non-finite values"):
-            oracles.plane_trajectory(plane[:, 0], plane[:, 1])
+        # or a coordinate past frontier.PLANE_LIMIT overflow a squared distance;
+        # the times and the CHSH maxima are held to the same rule (column ...
+        # indexes a 1-D array by its row alone)
+        given = {"gt": np.arange(5.0), "plane": np.full((5, 2), 0.25),
+                 "bell_max": np.full(5, 2.0)}
+        given[name][3, column] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and within 1e\+150$"):
+            trajectory.Trajectory(params(delta=0.5), **given)
 
     def test_direct_trajectory_copies_every_writable_array(self):
         # every writable array is stored as a frozen copy, and the caller's
@@ -478,14 +483,14 @@ def test_pruned_reductions_equal_unpruned_queries(seed, n, repeats, duplicated, 
     curve = mems_curve(257)
     axis = np.interp(m[0], *curve.points.T) / 2.0
     reflected = pts * [1.0, -1.0] + [0.0, 2.0 * axis]
-    assert trajectory.mirror_symmetry_check(traj, curve) == traj.nearest_distances(reflected).max()
+    assert trajectory.mirror_symmetry_check(traj, curve) == traj.tree.query(reflected).max()
 
     c_knots = np.linspace(1.0, 0.0, 4097)
     mems_pts = np.column_stack([frontier.mems_linear_entropy(c_knots), c_knots])
-    assert trajectory.min_mems_distance(traj) == traj.nearest_distances(mems_pts).min()
+    assert trajectory.min_mems_distance(traj) == traj.tree.query(mems_pts).min()
 
     for curve in (mems_curve(257), werner_curve(257)):
-        dist = traj.nearest_distances(frontier._polyline_resample(curve.points))
+        dist = traj.tree.query(frontier._polyline_resample(curve.points))
         # epsilon exactly one of the distances: the cap is a tie
         epsilon = float(np.sort(dist)[int(pick * (len(dist) - 1))])
         assume(epsilon > 0.0)
@@ -539,7 +544,7 @@ def test_index_distances_equal_brute_force(seed, kind, n, cap, count):
     on = points[rng.integers(0, n, 100)]
     queries = np.concatenate([rng.uniform(lo, hi, (200, 2)), on,
                               rng.uniform(lo - 100.0, hi + 100.0, (100, 2))])
-    exact = traj.nearest_distances(queries)
+    exact = traj.tree.query(queries)
     assert np.array_equal(exact, nearest_distances(queries, points))
     seeds = traj.tree.seeds(queries)
     assert np.all(seeds >= exact)
@@ -551,7 +556,7 @@ def test_index_distances_equal_brute_force(seed, kind, n, cap, count):
     # seed, and above the cap but not above the exact distance elsewhere
     if isinstance(cap, str):
         cap = exact[rng.integers(0, len(exact))]
-    capped = traj.nearest_distances(queries[:count], cap)
+    capped = traj.tree.query(queries[:count], cap)
     exact = exact[:count]
     sure = exact <= max(cap, seeds[:count].min(initial=np.inf))
     assert np.array_equal(capped[sure], exact[sure])
@@ -559,7 +564,7 @@ def test_index_distances_equal_brute_force(seed, kind, n, cap, count):
     assert np.all(capped[~sure] > cap)
     for bad in (-1e-300, np.nan):
         with pytest.raises(ValueError, match="cap must be >= 0"):
-            traj.nearest_distances(queries[:count], bad)
+            traj.tree.query(queries[:count], bad)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5])
