@@ -49,13 +49,28 @@ FIGURE_PRESETS: dict[str, tuple[dict, tuple[str, ...]]] = {
 MAX_ROWS = 10**6
 
 
-def _integer(text: str) -> int:
-    """The type of every integer flag and config value; a refusal quotes 20 characters at most."""
-    try:
-        return int(text)
-    except ValueError:
-        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"expected an integer, got {shown}") from None
+def _shown(text: str) -> str:
+    """text quoted whole up to 20 characters, else its first 20 and its length."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _parsed_by(cast, expected: str):
+    """argparse type: cast(text), or a refusal quoting text by _shown if cast raises ValueError."""
+    def parse(text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {_shown(text)}") from None
+    return parse
+
+
+_integer = _parsed_by(int, "an integer")
+_real = _parsed_by(float, "a number")
+
+
+def _one_of(names: tuple[str, ...]):
+    # tuple.index raises the ValueError of a name not in names
+    return _parsed_by(lambda text: names[names.index(text)], f"one of {', '.join(names)}")
 
 
 def _row_count(text: str) -> int:
@@ -97,21 +112,6 @@ def _write_csv(path: str, meta: dict, header: str, rows: np.ndarray, timestamp: 
             out.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _real(text: str) -> float:
-    # argparse prints an ArgumentTypeError's reason, as the config file does
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(exc) from None
-
-
-def _source(text: str) -> str:
-    if text not in trajectory.SOURCES:
-        raise argparse.ArgumentTypeError(
-            f"unknown source {text!r}; expected one of {trajectory.SOURCES}")
-    return text
-
-
 # each evolve parameter, once: config key -> (_run_sweep_to_csv keyword, type,
 # default, help). The key's flag is --KEY with '-' for '_', and its metadata
 # line names the keyword without a trailing '_'; the default n_steps, None,
@@ -123,7 +123,7 @@ _EVOLVE_PARAMS = {
     "gt_max": ("gt_max", _real, 50.0, "last scaled time gt of the grid"),
     "n_steps": ("n_steps", _row_count, None,
                 "grid points (default 5001 up to gt_max 50, else 50001)"),
-    "source": ("source", _source, trajectory.ANALYTIC,
+    "source": ("source", _one_of(trajectory.SOURCES), trajectory.ANALYTIC,
                f"reduced-state source, one of {', '.join(trajectory.SOURCES)}"),
 }
 
@@ -141,11 +141,11 @@ def _load_config_file(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {_shown(raw)}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _EVOLVE_PARAMS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {_shown(key)}")
         field, cast, _, _ = _EVOLVE_PARAMS[key]
         if field in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -200,8 +200,6 @@ def _write_curve_csv(path: str, timestamp: bool, command: str, curve: frontier.F
 
 
 def cmd_figure(args) -> int:
-    if args.tag not in FIGURE_PRESETS:
-        raise ValueError(f"unknown figure tag {args.tag!r}; known: {sorted(FIGURE_PRESETS)}")
     settings, kinds = FIGURE_PRESETS[args.tag]
     # every curve first: a rejected --n-points then costs no sweep and
     # leaves no partial bundle
@@ -281,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evolve)
 
     fig = sub.add_parser("figure", help="emit the CSV bundle for a paper figure")
-    fig.add_argument("tag", help="figure tag, e.g. 1a, 2c, 3b, 4a")
+    fig.add_argument("tag", type=_one_of(tuple(FIGURE_PRESETS)), help="figure panel, 1a to 4c")
     fig.add_argument("--output-dir", default=".", help="directory for the CSV bundle")
     fig.add_argument("--n-points", type=_row_count, default=257, help="curve sample count")
     fig.add_argument("--seed", type=_integer, default=0, help=_SEED_HELP)
@@ -289,16 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(func=cmd_figure)
 
     fr = sub.add_parser("frontier", help="emit a reference frontier curve")
-    fr.add_argument("--kind", choices=frontier.CURVE_KINDS, required=True)
+    fr.add_argument("--kind", type=_one_of(frontier.CURVE_KINDS), required=True,
+                    help=f"curve kind, one of {', '.join(frontier.CURVE_KINDS)}")
     fr.add_argument("--n-points", type=_row_count, default=257)
     fr.add_argument("--seed", type=_integer, default=0, help=_SEED_HELP)
     add_common(fr)
     fr.set_defaults(func=cmd_frontier)
 
     rec = sub.add_parser("recurrences", help="pure-state recurrence series")
-    rec.add_argument("--delta", type=float, default=0.0, help="detuning Delta/g")
+    rec.add_argument("--delta", type=_real, default=0.0, help="detuning Delta/g")
     rec.add_argument("--k-max", dest="k_max", type=_row_count, default=100)
-    rec.add_argument("--tol", type=float, default=1e-6,
+    rec.add_argument("--tol", type=_real, default=1e-6,
                      help="rational-approximation tolerance for Delta/Omega")
     rec.add_argument("--q-max", dest="q_max", type=_integer, default=1000)
     add_common(rec)

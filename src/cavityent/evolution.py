@@ -44,16 +44,16 @@ def evolve_spectral_grid(p: SystemParams, gts) -> np.ndarray:
 
     rho_ab(t) = sum_mn rho0_mn exp(-i w_mn t - (gamma/2) w_mn^2 t) v_am
     conj(v_bn) is one (n, 16) @ (16, 16) product with K[(m, n), (a, b)] =
-    v_am conj(v_bn). The (n, 16) factor is exponentiated and scaled in
-    place, so the peak allocation is that factor plus the result.
+    v_am conj(v_bn); the (n, 16) factor is formed in place, so the peak is it
+    plus the result. eigh of H/g, whose couplings are 1, keeps |0,gg> decoupled.
     """
     gts = np.atleast_1d(check_times(gts))
-    w, v = np.linalg.eigh(hamiltonian(p))
+    w, v = np.linalg.eigh(hamiltonian(p) / p.g)
     rho0 = v.conj().T @ initial_state(p) @ v
     omega_mn = w[:, None] - w[None, :]
-    coef = -1j * omega_mn - p.gamma / 2.0 * omega_mn**2
+    coef = -1j * omega_mn - p.gamma * p.g / 2.0 * omega_mn**2
     kernel = np.einsum("am,bn->mnab", v, v.conj()).reshape(16, 16)
-    phases = np.multiply.outer(gts / p.g, coef.ravel())
+    phases = np.multiply.outer(gts, coef.ravel())
     np.exp(phases, out=phases)
     phases *= rho0.ravel()
     return (phases @ kernel).reshape(-1, 4, 4)

@@ -84,12 +84,18 @@ class RationalityReport:
         return EFFECTIVELY_IRRATIONAL if self.best_q is None else EFFECTIVELY_RATIONAL
 
 
+def _owned_curve(kind: str, points: np.ndarray) -> FrontierCurve:
+    """A curve from a builder's fresh points, made read-only so that they are stored uncopied."""
+    points.flags.writeable = False
+    return FrontierCurve(kind, points)
+
+
 def werner_curve(n_points: int) -> FrontierCurve:
     """(M, C) curve of Werner states for p in [1/3, 1]."""
     p = np.linspace(1.0, 1.0 / 3.0, n_points)  # M increases as p drops
     m = 1.0 - p * p
     c = (3.0 * p - 1.0) / 2.0
-    return FrontierCurve(WERNER, np.column_stack([m, c]))
+    return _owned_curve(WERNER, np.column_stack([m, c]))
 
 
 def mems_linear_entropy(c) -> np.ndarray:
@@ -121,7 +127,7 @@ def mems_curve(n_points: int) -> FrontierCurve:
     """(M, C) frontier curve sampled over c in [0, 1]."""
     c = np.linspace(1.0, 0.0, n_points)  # M increases as c drops
     m = mems_linear_entropy(c)
-    return FrontierCurve(MEMS_CM, np.column_stack([m, c]))
+    return _owned_curve(MEMS_CM, np.column_stack([m, c]))
 
 
 def random_two_qubit_states(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -209,7 +215,7 @@ def bell_frontier(n_points: int) -> FrontierCurve:
     interior = grid[1:-1]
     if interior.size:
         interior[np.argmin(np.abs(interior - 2.0 / 3.0))] = 2.0 / 3.0
-    return FrontierCurve(
+    return _owned_curve(
         BELL_FRONTIER, np.column_stack([grid, bell_envelope_candidate(grid)])
     )
 

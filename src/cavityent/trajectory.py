@@ -207,10 +207,10 @@ def _prune(qx, qy, bound, boxes, owner, box):
 
 
 _RANGE_SLACK = 1e-9
-# every source computes its phases, up to (Omega + |Delta|) gt, in doubles,
-# so their absolute error grows like eps (Omega + |Delta|) gt_max; a sweep
-# whose bound exceeds _PHASE_TOL would print noise and is refused. _EPS is a
-# Python float, so a bound that overflows reads inf without a numpy warning
+# every source computes its phases, up to (Omega + |Delta|) t with t = gt/g,
+# in doubles, so their absolute error grows like eps (Omega + |Delta|) gt_max / g;
+# a sweep whose bound exceeds _PHASE_TOL would print noise and is refused. _EPS
+# is a Python float, so a bound that overflows reads inf without a numpy warning
 _EPS = float(np.finfo(float).eps)
 _PHASE_TOL = 1e-8
 _RANGES = {
@@ -260,18 +260,18 @@ def sweep(
     p: SystemParams, gt_max: float, n_steps: int, source: str = ANALYTIC
 ) -> Trajectory:
     """Uniform time-grid sweep of all trajectory metrics; ValueError past
-    the phase-precision bound eps (Omega + |Delta|) gt_max <= 1e-8."""
+    the phase-precision bound eps (Omega + |Delta|) gt_max / g <= 1e-8."""
     if check_times(gt_max) == 0:
         raise ValueError("gt_max must be positive")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
-    phase_error = _EPS * (p.omega + abs(float(p.delta))) * float(gt_max)
+    phase_error = _EPS * (p.omega + abs(float(p.delta))) * float(gt_max) / float(p.g)
     if phase_error > _PHASE_TOL:
         raise ValueError(
             f"gt_max = {gt_max:g} is past the phase-precision bound: "
-            f"eps (Omega + |Delta|) gt_max = {phase_error:.3g} > {_PHASE_TOL:g}"
+            f"eps (Omega + |Delta|) gt_max / g = {phase_error:.3g} > {_PHASE_TOL:g}"
         )
     gts = np.linspace(0.0, gt_max, n_steps).copy()  # owns its data, so stored uncopied
     entries = _X_STATE_ENTRIES[source]

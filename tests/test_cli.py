@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityent.cli import (
-    _EVOLVE_PARAMS, FIGURE_PRESETS, MAX_ROWS, _integer, _row_count, _write_csv, build_parser,
-    main,
+    _EVOLVE_PARAMS, FIGURE_PRESETS, MAX_ROWS, _integer, _real, _row_count, _write_csv,
+    build_parser, main,
 )
 from cavityent.frontier import bell_envelope_candidate
 
@@ -138,7 +138,7 @@ class TestEvolve:
         assert main(["evolve", "--gt-max", "1e17", "--n-steps", "3", "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: gt_max = 1e+17 is past the phase-precision bound: "
-            "eps (Omega + |Delta|) gt_max = 62.8 > 1e-08\n")
+            "eps (Omega + |Delta|) gt_max / g = 62.8 > 1e-08\n")
         assert not out.exists()
 
     def test_rk4_large_detuning_finishes(self):
@@ -215,10 +215,10 @@ class TestEvolve:
         assert f"{cfg}:3: duplicate config key 'delta'" in err
 
     @pytest.mark.parametrize("line, message", [
-        ("delta = abc", "delta: could not convert string to float: 'abc'"),
-        ("lambda = 0.5 # half", "lambda: could not convert string to float: '0.5 # half'"),
-        ("source = euler", "source: unknown source 'euler'"),
-    ])
+        ("delta = abc", "delta: expected a number, got 'abc'"),
+        ("lambda = 0.5 # half", "lambda: expected a number, got '0.5 # half'"),
+        ("source = euler", "source: expected one of analytic, spectral, rk4, got 'euler'"),
+    ], ids=["delta", "lambda", "source"])
     def test_unparsable_config_value_names_file_line_and_key(
             self, tmp_path, capsys, line, message):
         cfg = tmp_path / "run.cfg"
@@ -366,8 +366,15 @@ class TestFigure:
         assert meta["gt_max"] == "50"
         assert rows.shape[0] == 5001
 
-    def test_unknown_tag_exit_2(self, tmp_path):
-        assert main(["figure", "9z", "--output-dir", str(tmp_path)]) == 2
+    def test_unknown_tag_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "9z", "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "cavityent figure: error: argument tag: expected one of "
+            "1a, 1b, 1c, 2a, 2b, 2c, 3a, 3b, 3c, 4a, 4b, 4c, got '9z'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("tag, evolve_flags", [
         ("1a", ["--delta", "0", "--lambda", "1", "--gamma", "0", "--gt-max", "50"]),
@@ -458,30 +465,63 @@ _INTEGER_OPTION_ARGV = {
 }
 
 
-def integer_options() -> list[tuple[str, str]]:
-    """(subcommand, flag) of every option that parses an integer; none may
-    parse one with a bare int, whose refusal repeats the argument whole."""
+def _value_kind(action) -> str:
+    """What an argument takes: a path, which refusals print whole; an
+    integer, a row count, a number or a name, each parsed by one of the CLI's
+    types, whose refusal quotes 20 characters at most; or, for any other
+    type or for choices=, whose refusals repeat the argument whole, its repr."""
+    if action.choices is not None:
+        return f"choices {action.choices!r}"
+    kinds = {None: "path", _integer: "integer", _row_count: "row count", _real: "number"}
+    if action.type in kinds:
+        return kinds[action.type]
+    try:  # a _one_of type names its choices when it refuses
+        action.type("")
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        if str(exc).startswith("expected one of "):
+            return "name"
+    return repr(action.type)
+
+
+def value_options() -> list[tuple[str, str, str]]:
+    """(subcommand, flag or positional, _value_kind) of every argument that takes a value."""
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    found = []
-    for command, sub in subparsers.choices.items():
-        for action in sub._actions:
-            assert action.type is not int, (command, action.option_strings)
-            if action.type in (_integer, _row_count):
-                found.append((command, action.option_strings[0]))
-    return found
+    return [(command, action.option_strings[0] if action.option_strings else action.dest,
+             _value_kind(action))
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions if action.nargs != 0]  # not --help or a switch
 
 
-def test_integer_options_are_all_found():
-    assert integer_options() == [
-        ("evolve", "--n-steps"), ("figure", "--n-points"), ("figure", "--seed"),
-        ("frontier", "--n-points"), ("frontier", "--seed"), ("recurrences", "--k-max"),
-        ("recurrences", "--q-max"),
+def integer_options() -> list[tuple[str, str]]:
+    """(subcommand, flag) of every option that parses an integer."""
+    return [(command, name) for command, name, kind in value_options()
+            if kind in ("integer", "row count")]
+
+
+def test_value_options_are_all_found():
+    assert value_options() == [
+        ("evolve", "--delta", "number"), ("evolve", "--lambda", "number"),
+        ("evolve", "--gamma", "number"), ("evolve", "--gt-max", "number"),
+        ("evolve", "--n-steps", "row count"), ("evolve", "--source", "name"),
+        ("evolve", "--config", "path"), ("evolve", "--output", "path"),
+        ("figure", "tag", "name"), ("figure", "--output-dir", "path"),
+        ("figure", "--n-points", "row count"), ("figure", "--seed", "integer"),
+        ("frontier", "--kind", "name"), ("frontier", "--n-points", "row count"),
+        ("frontier", "--seed", "integer"), ("frontier", "--output", "path"),
+        ("recurrences", "--delta", "number"), ("recurrences", "--k-max", "row count"),
+        ("recurrences", "--tol", "number"), ("recurrences", "--q-max", "integer"),
+        ("recurrences", "--output", "path"),
     ]
 
 
+def _shown(text):
+    """How a refusal quotes a text of more than 20 characters."""
+    return f"'{text[:20]}'... ({len(text)} characters)"
+
+
 HUGE_TEXT = "1" * 5000
-HUGE_SHOWN = f"expected an integer, got '{'1' * 20}'... (5000 characters)"
+HUGE_SHOWN = f"expected an integer, got {_shown(HUGE_TEXT)}"
 
 
 @pytest.mark.parametrize("command, flag", integer_options())
@@ -505,6 +545,36 @@ def test_huge_integer_config_value_is_not_repeated(tmp_path, capsys, monkeypatch
     assert main(["evolve", "--config", "run.cfg", "-o", "t.csv"]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert errors == [f"error: run.cfg:1: n_steps: {HUGE_SHOWN}"]
+    assert len(errors[0].encode()) < 200
+    assert not Path("t.csv").exists()
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("x" * 20, "'xxxxxxxxxxxxxxxxxxxx'"),
+    ("x" * 21, "'xxxxxxxxxxxxxxxxxxxx'... (21 characters)"),
+])
+def test_refusal_quotes_up_to_20_characters_whole(capsys, text, shown):
+    with pytest.raises(SystemExit):
+        main(["frontier", "--kind", text])
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f", got {shown}")
+
+
+HUGE_WORD = "x" * 5000
+
+
+@pytest.mark.parametrize("line, message", [
+    (f"delta = {HUGE_WORD}", f"delta: expected a number, got {_shown(HUGE_WORD)}"),
+    (f"source = {HUGE_WORD}",
+     f"source: expected one of analytic, spectral, rk4, got {_shown(HUGE_WORD)}"),
+    (HUGE_WORD, f"expected key=value, got {_shown(HUGE_WORD)}"),
+    (f"{HUGE_WORD} = 1", f"unknown config key {_shown(HUGE_WORD)}"),
+], ids=["value", "source", "line", "key"])
+def test_huge_config_text_is_not_repeated(tmp_path, capsys, monkeypatch, line, message):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(f"gt_max = 1\n{line}\n")
+    assert main(["evolve", "--config", "run.cfg", "-o", "t.csv"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [f"error: run.cfg:2: {message}"]
     assert len(errors[0].encode()) < 200
     assert not Path("t.csv").exists()
 
@@ -622,10 +692,12 @@ def test_version(capsys):
 
 
 # CLI contract: extreme flag values exit 0 or 2, and a rejection prints one
-# error line and writes nothing. Row counts stay small, because they allocate.
+# error line, under 200 bytes, and writes nothing. Row counts stay small,
+# because they allocate. Every value may be a 5 000-character word.
+LONG = st.sampled_from([HUGE_WORD, HUGE_TEXT])
 EXTREME = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e300",
-                           "-1e300", "1e-300", "-1e-300", "0.5", "3"])
-COUNT = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "17"])
+                           "-1e300", "1e-300", "-1e-300", "0.5", "3"]) | LONG
+COUNT = st.sampled_from(["-3", "-1", "0", "1", "2", "3", "17"]) | LONG
 VALID_COUNT = st.sampled_from(["2", "3", "17"])
 INTEGER = COUNT | st.sampled_from(["1e300", "nan", "1000", str(10**300)])
 
@@ -646,13 +718,14 @@ def _argv(*parts):
 STAMP = st.sampled_from([[], ["--no-timestamp"]])
 CLI_ARGVS = {
     "evolve": _argv("evolve", STAMP, "--n-steps", VALID_COUNT | COUNT, "--source",
-                    st.sampled_from(["analytic", "spectral", "rk4"]),
+                    st.sampled_from(["analytic", "spectral", "rk4"]) | LONG,
                     _flags(**{"--delta": EXTREME, "--lambda": EXTREME, "--gamma": EXTREME,
                               "--gt-max": EXTREME}), "-o", "{out}/t.csv"),
-    "figure": _argv("figure", st.sampled_from(["1a", "9z"]), STAMP,
+    "figure": _argv("figure", st.sampled_from(["1a", "9z"]) | LONG, STAMP,
                     _flags(**{"--n-points": COUNT, "--seed": INTEGER}),
                     "--output-dir", "{out}/bundle"),
-    "frontier": _argv("frontier", STAMP, "--kind", st.sampled_from(["werner", "mems", "bell"]),
+    "frontier": _argv("frontier", STAMP, "--kind",
+                      st.sampled_from(["werner", "mems", "bell"]) | LONG,
                       _flags(**{"--n-points": COUNT, "--seed": INTEGER}), "-o", "{out}/f.csv"),
     "recurrences": _argv("recurrences", STAMP,
                          _flags(**{"--delta": EXTREME, "--k-max": COUNT, "--tol": EXTREME,
@@ -691,3 +764,4 @@ def test_cli_contract(command, data):
         assert lines[-1].startswith("cavityent ") and ": error: " in lines[-1]
     else:
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[-1].encode()) < 200

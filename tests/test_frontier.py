@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,22 @@ class TestFrontierCurve:
             assert (frontier.coverage(traj, curve, 0.02),
                     trajectory.mirror_symmetry_check(traj, curve)) == before
             given[:, 1] *= 2.0
+
+    @pytest.mark.parametrize("builder, bound", [
+        (frontier.mems_curve, 2.75), (frontier.werner_curve, 3.25), (frontier.bell_frontier, 2.25),
+    ])
+    def test_builders_store_their_points_uncopied(self, builder, bound):
+        # a builder hands over a read-only array it owns, so the curve keeps
+        # it as is: the peak holds one points array, not a second copy
+        builder(5)  # first-call allocations out of the measurement
+        tracemalloc.start()
+        try:
+            curve = builder(200_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * curve.points.nbytes
+        assert not curve.points.flags.writeable
 
     def test_linear_interpolation(self):
         curve = frontier.FrontierCurve("werner", np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -17,6 +17,7 @@ bit with the entries of the cavity-traced matrices. The runs are
 derandomized, so every run checks the same examples.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -155,30 +156,40 @@ def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
         assert np.array_equal(getattr(traj, name), column)
 
 
+# g over nine decades, with Delta drawn as Delta/g and gamma as gamma*g
 detuned_far = st.builds(
-    SystemParams,
-    g=st.just(1.0),
-    delta=st.floats(-5.0, 5.0) | st.floats(-1e8, 1e8),
+    lambda g, delta_over_g, lambda_, gamma_times_g: SystemParams(
+        g=g, delta=delta_over_g * g, lambda_=lambda_, gamma=gamma_times_g / g),
+    g=st.floats(-6.0, 3.0).map(lambda k: 10.0**k),
+    delta_over_g=st.floats(-5.0, 5.0) | st.floats(-1e8, 1e8),
     lambda_=st.floats(0.0, 1.0),
-    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    gamma_times_g=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
 )
 
 
 @SETTINGS
 @given(p=detuned_far, gt_max=st.floats(-3.0, 18.0).map(lambda e: 10.0**e))
 # the sources differ by 1.1 at gt_max = 1e17, which must be refused, and
-# by 3.3e-9 at 1e7 (bound 7.5e-9); at Delta = 1e8 and gt_max = 0.2 by 4.5e-9
+# by 3.3e-9 at 1e7 (bound 7.5e-9); at Delta = 1e8 and gt_max = 0.2 by 4.5e-9;
+# at g = 1e-6 the time 1e12 / g is as far out as 1e18 at g = 1
 @example(p=SystemParams(g=1.0, delta=0.5), gt_max=1e17)
 @example(p=SystemParams(g=1.0, delta=0.5), gt_max=1e7)
 @example(p=SystemParams(g=1.0, delta=1e8), gt_max=0.2)
+@example(p=SystemParams(g=1e-6, delta=0.0), gt_max=1e12)
 def test_accepted_sweeps_agree_across_sources(p, gt_max):
-    # the phases (Omega + |Delta|) gt carry an absolute error of about eps
-    # per unit, so a sweep is refused past eps (Omega + |Delta|) gt_max = 1e-8
+    # the phases (Omega + |Delta|) t, t = gt/g, carry an absolute error of
+    # about eps per unit, so a sweep is refused past
+    # eps (Omega + |Delta|) gt_max / g = 1e-8. The sweep depends on g only
+    # through Delta/g and gamma*g, so the same sweep at g = 1 is refused alike
+    unit = SystemParams(g=1.0, delta=p.delta / p.g, lambda_=p.lambda_, gamma=p.gamma * p.g)
     try:
         closed = trajectory.sweep(p, gt_max, 3)
     except ValueError as exc:
         assert "phase-precision bound" in str(exc)
+        with pytest.raises(ValueError, match="phase-precision bound"):
+            trajectory.sweep(unit, gt_max, 3)
         return
+    trajectory.sweep(unit, gt_max, 3)
     spectral = trajectory.sweep(p, gt_max, 3, source=trajectory.SPECTRAL)
     for name in ("concurrence", "linear_entropy", "bell_max", "purity"):
         assert np.abs(getattr(closed, name) - getattr(spectral, name)).max() < 1e-8
