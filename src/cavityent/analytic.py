@@ -42,18 +42,17 @@ def x_state_entries(p: SystemParams, gt):
     """
     t = check_times(gt) / p.g
     omega, r, lam, gamma = p.omega, p.delta / p.omega, p.lambda_, p.gamma
-    # the damping factors first: computed after the cosine, they raised the
-    # peak RSS of a 50 001-point sweep by about 1 MB
-    damp_cos = np.exp(-gamma * t / 2.0 * omega**2)
-    damp_p = np.exp(-gamma * t / 8.0 * (omega + p.delta) ** 2)
-    damp_m = np.exp(-gamma * t / 8.0 * (omega - p.delta) ** 2)
-    cos_ot = np.cos(omega * t) * damp_cos
+    # damping factors formed where used: held as three named arrays, in any order, they
+    # raised the tracemalloc peak of one 50 001-time call from 4.70 to 5.85 MiB
+    cos_ot = np.cos(omega * t) * np.exp(-gamma * t / 2.0 * omega**2)
     c_plus = lam / 8.0 * (1.0 + r * r + (1.0 - r * r) * cos_ot)
     c_minus = lam / 4.0
     c_gg = p.g**2 * lam / omega**2 * (1.0 - cos_ot) + (1.0 - lam) / 2.0
     c_cross = lam / 4.0 * (
-        (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0) * damp_p
-        + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0) * damp_m
+        (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0)
+        * np.exp(-gamma * t / 8.0 * (omega + p.delta) ** 2)
+        + (1.0 + r) * np.exp(-1j * (omega - p.delta) * t / 2.0)
+        * np.exp(-gamma * t / 8.0 * (omega - p.delta) ** 2)
     )
     c_sum, eg_ge = c_plus + c_minus, (c_plus - c_minus) - 1j * c_cross.imag
     return c_sum + c_cross.real, c_sum - c_cross.real, 2.0 * c_gg, eg_ge

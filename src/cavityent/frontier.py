@@ -39,6 +39,15 @@ def frozen_plane_array(values, name: str) -> np.ndarray:
     return array
 
 
+def clipped_within(values: np.ndarray, lo: float, hi: float, slack: float, name: str):
+    """values clipped in place onto [lo, hi]; ValueError naming ``name`` if one is
+    non-finite (NaN fails the one comparison) or lies more than ``slack`` outside."""
+    if values.size and not lo - slack <= values.min() <= values.max() <= hi + slack:
+        raise ValueError(f"{name} must be finite and within [{lo:g}, {hi:g}], "
+                         f"got [{values.min()}, {values.max()}]")
+    return np.clip(values, lo, hi, out=values)
+
+
 WERNER = "werner"
 MEMS_CM = "mems"
 BELL_FRONTIER = "bell"
@@ -62,7 +71,7 @@ class FrontierCurve:
         pts = frozen_plane_array(self.points, f"{self.kind} curve points")
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError(f"curve needs an (n, 2) array with n >= 2, got shape {pts.shape}")
-        if np.any(np.diff(pts[:, 0]) <= 0):
+        if np.any(pts[1:, 0] <= pts[:-1, 0]):
             raise ValueError("linear entropy must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -110,13 +119,7 @@ def mems_linear_entropy(c) -> np.ndarray:
 
 def mems_concurrence_at(m) -> np.ndarray:
     """Frontier concurrence at linear entropy m (inverse of the MEMS curve)."""
-    m = np.asarray(m, dtype=float)
-    # NaN fails both range comparisons, so it is rejected on its own
-    if not np.all(np.isfinite(m)):
-        raise ValueError("linear entropy must be finite")
-    if np.any(m < -1e-12) or np.any(m > 8.0 / 9.0 + 1e-12):
-        raise ValueError("linear entropy outside [0, 8/9]")
-    m = np.clip(m, 0.0, 8.0 / 9.0)
+    m = clipped_within(np.array(m, dtype=float), 0.0, 8.0 / 9.0, 1e-12, "linear entropy")
     upper = (1.0 + np.sqrt(np.clip(1.0 - 1.5 * m, 0.0, None))) / 2.0
     lower = np.sqrt(np.clip(1.5 * (8.0 / 9.0 - m), 0.0, None))
     out = np.where(m <= 16.0 / 27.0, upper, lower)

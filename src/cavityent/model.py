@@ -42,7 +42,8 @@ class SystemParams:
     lambda_ initial excited population of atom 1, in [0, 1]
     gamma   phase decoherence rate (>= 0; units of time)
 
-    g, delta and gamma must be finite, and so must Omega^2 = Delta^2 + 8 g^2.
+    g, delta, gamma, Omega^2 = Delta^2 + 8 g^2 and gamma g must be finite, and
+    |Delta/g| must be at most 1e150.
     """
 
     g: float
@@ -58,11 +59,16 @@ class SystemParams:
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
         # float products overflow to inf, where ** would raise OverflowError
-        delta, g = float(self.delta), float(self.g)
+        delta, g, gamma = float(self.delta), float(self.g), float(self.gamma)
         if not np.isfinite(delta * delta + 8.0 * g * g):
             raise ValueError(
                 f"Omega^2 = Delta^2 + 8 g^2 overflows for delta = {self.delta}, g = {self.g}"
             )
+        # a sweep runs in units of g, where gamma g must be finite and
+        # (Omega/g + |Delta/g|)^2 must not overflow
+        if not (abs(delta / g) <= 1e150 and np.isfinite(gamma * g)):
+            raise ValueError(f"|Delta/g| must be at most 1e150 and gamma g finite, "
+                             f"got {abs(delta / g):g} and {gamma * g:g}")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
         if self.gamma < 0:

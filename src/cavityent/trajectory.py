@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import analytic, evolution
+from . import analytic, evolution, frontier
 from .frontier import MEMS_CM, TSIRELSON, FrontierCurve, frozen_plane_array, mems_curve
 from .model import SystemParams, check_times
 
@@ -221,17 +221,9 @@ _RANGES = {
 
 
 def _clip_to_ranges(raw: dict) -> dict:
-    """raw, each metric clipped in place into its range; ValueError if one
-    holds a non-finite value or strays outside by more than _RANGE_SLACK."""
-    for name, values in raw.items():
-        lo, hi = _RANGES[name]
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} has non-finite values")
-        if values.min() < lo - _RANGE_SLACK or values.max() > hi + _RANGE_SLACK:
-            raise ValueError(
-                f"{name} out of range [{values.min()}, {values.max()}]"
-            )
-        np.clip(values, lo, hi, out=values)
+    """raw, each metric of _RANGES clipped in place onto its range."""
+    for name, (lo, hi) in _RANGES.items():
+        frontier.clipped_within(raw[name], lo, hi, _RANGE_SLACK, name)
     return raw
 
 
@@ -267,7 +259,10 @@ def sweep(
         raise ValueError("n_steps must be >= 2")
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
-    phase_error = _EPS * (p.omega + abs(float(p.delta))) * float(gt_max) / float(p.g)
+    # the sources see the sweep in units of g (Delta/g, gamma g, gt): the same bits
+    # at g = 1, and no time gt/g or rate over- or underflows where g is far from 1
+    unit = SystemParams(1.0, p.delta / p.g, p.lambda_, p.gamma * p.g)
+    phase_error = _EPS * (unit.omega + abs(float(unit.delta))) * float(gt_max)
     if phase_error > _PHASE_TOL:
         raise ValueError(
             f"gt_max = {gt_max:g} is past the phase-precision bound: "
@@ -282,7 +277,7 @@ def sweep(
     # range check report, so numpy's own warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, _BLOCK):
-            part = _x_entry_readout(*entries(p, gts[lo:lo + _BLOCK]))
+            part = _x_entry_readout(*entries(unit, gts[lo:lo + _BLOCK]))
             for name, values in part.items():
                 raw[name][lo:lo + _BLOCK] = values
     _clip_to_ranges(raw)

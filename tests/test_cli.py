@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityent import trajectory
 from cavityent.cli import (
     _EVOLVE_PARAMS, FIGURE_PRESETS, MAX_ROWS, _integer, _real, _row_count, _write_csv,
     build_parser, main,
 )
 from cavityent.frontier import bell_envelope_candidate
+from cavityent.model import SystemParams
 
 
 def read_csv(path):
@@ -53,6 +55,10 @@ class TestEvolve:
         assert rows[-1, 0] == 10.0
         assert meta["delta_over_g"] == "0.5"
         assert meta["source"] == "analytic"
+        # each column is the sweep's attribute of its header name, to 12 digits
+        traj = trajectory.sweep(SystemParams(g=1.0, delta=0.5), 10.0, 101)
+        for column, name in zip(rows.T, header):
+            assert np.allclose(column, getattr(traj, name), rtol=1e-11, atol=0.0)
 
     def test_stdout_output(self, capsys):
         code = main(["evolve", "--gt-max", "1", "--n-steps", "3"])
@@ -319,8 +325,13 @@ class TestRecurrences:
         out = tmp_path / "r.csv"
         assert main(["recurrences", "--delta", "0.5", "--k-max", "5",
                      "--tol", "1e-12", "-o", str(out)]) == 0
-        meta, _, _ = read_csv(out)
+        meta, _, rows = read_csv(out)
         assert meta["classification"] == "EFFECTIVELY_IRRATIONAL"
+        # the columns in header order: k, gt_k = 2 k pi / Omega, |sin(Delta k pi / Omega)|
+        k, omega = np.arange(1, 6), np.sqrt(0.25 + 8.0)
+        assert np.array_equal(rows[:, 0], k)
+        assert np.abs(rows[:, 1] / (2.0 * np.pi * k / omega) - 1.0).max() < 1e-11
+        assert np.abs(rows[:, 2] - np.abs(np.sin(0.5 * k * np.pi / omega))).max() < 1e-11
 
     def test_bad_tol_exit_2(self):
         for bad in ("nan", "inf", "0"):
@@ -592,10 +603,10 @@ def test_row_count_type():
 
 
 def _csv_data_lines(rows) -> list[str]:
-    """Data lines that _write_csv prints for a 2-D array."""
+    """Data lines that _write_csv prints for the columns of a 2-D array."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _write_csv("-", {}, "h", np.array(rows, dtype=float), timestamp=False)
+        _write_csv("-", {}, "h", np.array(rows, dtype=float).T, timestamp=False)
     return buf.getvalue().splitlines()[2:]
 
 
@@ -630,14 +641,32 @@ def test_csv_writing_peak_memory(tmp_path):
     # values as Python floats plus its text, not the whole file's
     rows = np.random.default_rng(0).random((50001, 5))
     out = tmp_path / "rows.csv"
-    _write_csv(str(out), {}, "h", rows[:10], timestamp=False)
+    _write_csv(str(out), {}, "h", rows[:10].T, timestamp=False)
     tracemalloc.start()
     try:
-        _write_csv(str(out), {}, "h", rows, timestamp=False)
+        _write_csv(str(out), {}, "h", rows.T, timestamp=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * out.stat().st_size
+
+
+def test_evolve_peak_memory(tmp_path):
+    # the writer stacks one block of the trajectory's columns at a time, so
+    # an evolve run holds the trajectory and one block's text, not a second
+    # copy of every row
+    argv = ["evolve", "--delta", "0.5", "--lambda", "0.7", "--gt-max", "500",
+            "--no-timestamp", "-o", str(tmp_path / "out.csv")]
+    assert main(argv + ["--n-steps", "101"]) == 0  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--n-steps", "50001"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # gt, the (n, 2) plane and bell_max: 1.53 MiB
+    trajectory_bytes = 4 * 50001 * 8
+    assert peak <= 2.5 * trajectory_bytes
 
 
 _LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"

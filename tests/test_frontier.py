@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -169,7 +170,7 @@ class TestFrontierCurve:
             given[:, 1] *= 2.0
 
     @pytest.mark.parametrize("builder, bound", [
-        (frontier.mems_curve, 2.75), (frontier.werner_curve, 3.25), (frontier.bell_frontier, 2.25),
+        (frontier.mems_curve, 2.25), (frontier.werner_curve, 2.75), (frontier.bell_frontier, 2.25),
     ])
     def test_builders_store_their_points_uncopied(self, builder, bound):
         # a builder hands over a read-only array it owns, so the curve keeps
@@ -242,6 +243,23 @@ class TestMems:
     def test_inverse_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             frontier.mems_concurrence_at(0.95)
+
+    def test_inverse_clips_within_its_slack(self):
+        # a linear entropy within 1e-12 outside [0, 8/9] is clipped onto the
+        # bound, and one beyond that is refused with the values it saw
+        top = 8.0 / 9.0
+        assert frontier.mems_concurrence_at(top + 5e-13) == frontier.mems_concurrence_at(top)
+        assert frontier.mems_concurrence_at(-5e-13) == 1.0
+        m = np.array([-5e-13, 0.5, top + 5e-13])
+        assert np.array_equal(frontier.mems_concurrence_at(m),
+                              frontier.mems_concurrence_at(np.clip(m, 0.0, top)))
+        assert m[0] == -5e-13  # the caller's array is not clipped
+        assert frontier.mems_concurrence_at(np.empty(0)).shape == (0,)  # nothing to refuse
+        for bad, shown in ((top + 2e-12, f"[{top + 2e-12}, {top + 2e-12}]"),
+                           ([0.5, -2e-12], "[-2e-12, 0.5]")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"linear entropy must be finite and within [0, 0.888889], got {shown}")):
+                frontier.mems_concurrence_at(bad)
 
     def test_inverse_rejects_non_finite(self):
         # NaN fails both range comparisons and would be clipped into range

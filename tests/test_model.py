@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,18 @@ class TestSystemParams:
         p = SystemParams(g=1.0, delta=1e150)
         assert p.omega == pytest.approx(1e150)
         assert SystemParams(g=1e150).omega == pytest.approx(np.sqrt(8.0) * 1e150)
+
+    def test_rejects_overflowing_rates_in_units_of_g(self):
+        # a sweep runs in units of g: Delta/g = 1e310 is no double, past 1e150
+        # a squared rate in units of g could overflow, and so can gamma g
+        for kw, got in ((dict(g=1e-300, delta=1e10), "inf and 0"),
+                        (dict(g=1.0, delta=-1.01e150), "1.01e+150 and 0"),
+                        (dict(g=1e-10, delta=1e141), "1e+151 and 0"),
+                        (dict(g=1e10, gamma=1e300), "0 and inf")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"|Delta/g| must be at most 1e150 and gamma g finite, got {got}")):
+                SystemParams(**kw)
+        assert SystemParams(g=1e-10, delta=1e139, gamma=1e298).delta == 1e139
 
     def test_dim(self):
         p = SystemParams(g=1.0)

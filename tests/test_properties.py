@@ -156,31 +156,53 @@ def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
         assert np.array_equal(getattr(traj, name), column)
 
 
-# g over nine decades, with Delta drawn as Delta/g and gamma as gamma*g
-detuned_far = st.builds(
-    lambda g, delta_over_g, lambda_, gamma_times_g: SystemParams(
-        g=g, delta=delta_over_g * g, lambda_=lambda_, gamma=gamma_times_g / g),
-    g=st.floats(-6.0, 3.0).map(lambda k: 10.0**k),
-    delta_over_g=st.floats(-5.0, 5.0) | st.floats(-1e8, 1e8),
+# g over 303 decades, with gamma drawn as gamma*g and Delta as Delta/g, or
+# on its own, so that Delta/g also reaches past 1e150 and past the doubles
+far_params = st.builds(
+    lambda g, delta_over_g, delta, lambda_, gamma_times_g: dict(
+        g=g, delta=delta if delta_over_g is None else delta_over_g * g, lambda_=lambda_,
+        gamma=gamma_times_g / g),
+    g=st.floats(-300.0, 3.0).map(lambda k: 10.0**k),
+    delta_over_g=st.floats(-5.0, 5.0) | st.floats(-1e8, 1e8) | st.none(),
+    delta=st.floats(-1e12, 1e12),
     lambda_=st.floats(0.0, 1.0),
     gamma_times_g=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
 )
 
 
+def _far(g, delta, lambda_=1.0, gamma=0.0):
+    return dict(g=g, delta=delta, lambda_=lambda_, gamma=gamma)
+
+
 @SETTINGS
-@given(p=detuned_far, gt_max=st.floats(-3.0, 18.0).map(lambda e: 10.0**e))
+@given(kw=far_params, gt_max=st.floats(-320.0, 18.0).map(lambda e: 10.0**e))
 # the sources differ by 1.1 at gt_max = 1e17, which must be refused, and
 # by 3.3e-9 at 1e7 (bound 7.5e-9); at Delta = 1e8 and gt_max = 0.2 by 4.5e-9;
 # at g = 1e-6 the time 1e12 / g is as far out as 1e18 at g = 1
-@example(p=SystemParams(g=1.0, delta=0.5), gt_max=1e17)
-@example(p=SystemParams(g=1.0, delta=0.5), gt_max=1e7)
-@example(p=SystemParams(g=1.0, delta=1e8), gt_max=0.2)
-@example(p=SystemParams(g=1e-6, delta=0.0), gt_max=1e12)
-def test_accepted_sweeps_agree_across_sources(p, gt_max):
-    # the phases (Omega + |Delta|) t, t = gt/g, carry an absolute error of
-    # about eps per unit, so a sweep is refused past
-    # eps (Omega + |Delta|) gt_max / g = 1e-8. The sweep depends on g only
-    # through Delta/g and gamma*g, so the same sweep at g = 1 is refused alike
+@example(kw=_far(1.0, 0.5), gt_max=1e17)
+@example(kw=_far(1.0, 0.5), gt_max=1e7)
+@example(kw=_far(1.0, 1e8), gt_max=0.2)
+@example(kw=_far(1e-6, 0.0), gt_max=1e12)
+# Delta/g = 1e310 overflowed the spectral source's H/g; Omega^2 underflows
+# at g = 1e-300; at g = 1e-154, gamma t = gamma*g gt / g^2 overflowed and the
+# closed form's damping read 0, 3.0e-3 off the spectral concurrence
+@example(kw=_far(1e-300, 1e10), gt_max=1e-310)
+@example(kw=_far(1e-300, 5e-301, 0.7), gt_max=1.0)
+@example(kw=_far(1e-154, 0.0, 0.5, 0.1 / 1e-154), gt_max=40.0)
+@example(kw=_far(1.0, -1e150, 0.3, 0.05), gt_max=1e-160)
+def test_accepted_sweeps_agree_across_sources(kw, gt_max):
+    # every (p, gt_max) that SystemParams and the sweep's phase bound accept
+    # runs on all three sources. The phases (Omega + |Delta|) t, t = gt/g,
+    # carry an absolute error of about eps per unit, so a sweep is refused
+    # past eps (Omega + |Delta|) gt_max / g = 1e-8. The sweep depends on g
+    # only through Delta/g and gamma*g, so the same sweep at g = 1 is refused
+    # alike, or equal bit for bit
+    try:
+        p = SystemParams(**kw)
+    except ValueError as exc:
+        assert str(exc).startswith("|Delta/g| must be at most 1e150")
+        assert not abs(kw["delta"] / kw["g"]) <= 1e150
+        return
     unit = SystemParams(g=1.0, delta=p.delta / p.g, lambda_=p.lambda_, gamma=p.gamma * p.g)
     try:
         closed = trajectory.sweep(p, gt_max, 3)
@@ -189,7 +211,8 @@ def test_accepted_sweeps_agree_across_sources(p, gt_max):
         with pytest.raises(ValueError, match="phase-precision bound"):
             trajectory.sweep(unit, gt_max, 3)
         return
-    trajectory.sweep(unit, gt_max, 3)
+    assert np.array_equal(trajectory.sweep(unit, gt_max, 3).plane, closed.plane)
     spectral = trajectory.sweep(p, gt_max, 3, source=trajectory.SPECTRAL)
+    trajectory.sweep(p, gt_max, 3, source=trajectory.RK4)
     for name in ("concurrence", "linear_entropy", "bell_max", "purity"):
         assert np.abs(getattr(closed, name) - getattr(spectral, name)).max() < 1e-8
