@@ -12,8 +12,7 @@ them, the closed-form concurrence (the tests' reference for the sweeps),
 the recurrence series and the stationary concurrence.
 
 All public time arguments are the dimensionless scaled time gt, finite and
-nonnegative; conversion to physical time happens exactly once at each
-function boundary.
+nonnegative.
 """
 from __future__ import annotations
 
@@ -40,14 +39,14 @@ def x_state_entries(p: SystemParams, gt):
       rho_eg,eg = c+ + c- + Re c_x,  rho_ge,ge = c+ + c- - Re c_x,
       rho_gg,gg = 2 c_gg,  rho_eg,ge = conj(rho_ge,eg) = c+ - c- - i Im c_x.
     """
-    t = check_times(gt) / p.g
+    t = check_times(gt)
     omega, r, lam, gamma = p.omega, p.delta / p.omega, p.lambda_, p.gamma
     # damping factors formed where used: held as three named arrays, in any order, they
     # raised the tracemalloc peak of one 50 001-time call from 4.70 to 5.85 MiB
     cos_ot = np.cos(omega * t) * np.exp(-gamma * t / 2.0 * omega**2)
     c_plus = lam / 8.0 * (1.0 + r * r + (1.0 - r * r) * cos_ot)
     c_minus = lam / 4.0
-    c_gg = p.g**2 * lam / omega**2 * (1.0 - cos_ot) + (1.0 - lam) / 2.0
+    c_gg = lam / omega**2 * (1.0 - cos_ot) + (1.0 - lam) / 2.0
     c_cross = lam / 4.0 * (
         (1.0 - r) * np.exp(1j * (omega + p.delta) * t / 2.0)
         * np.exp(-gamma * t / 8.0 * (omega + p.delta) ** 2)
@@ -86,7 +85,7 @@ def concurrence_closed(p: SystemParams, gt):
 def recurrence_concurrences(p: SystemParams, k_max: int):
     """Pure-state recurrence series (k, gt_k, C_k).
 
-    At gt_k = 2 k pi g / Omega the lambda_ = 1 reduced state is pure with
+    At gt_k = 2 k pi / Omega the lambda_ = 1 reduced state is pure with
     concurrence |sin(Delta k pi / Omega)|. The law holds only for that
     unitary, pure start: ValueError unless lambda_ = 1 and gamma = 0.
     """
@@ -95,14 +94,14 @@ def recurrence_concurrences(p: SystemParams, k_max: int):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     k = np.arange(1, k_max + 1)
-    gt_k = 2.0 * np.pi * k * p.g / p.omega
+    gt_k = 2.0 * np.pi * k / p.omega
     c_k = np.abs(np.sin(p.delta * k * np.pi / p.omega))
     return k, gt_k, c_k
 
 
 def stationary_concurrence(p: SystemParams) -> float:
-    """Long-time dephased concurrence 2 * lambda * g^2 / Omega^2."""
+    """Long-time dephased concurrence 2 lambda / Omega^2."""
     if p.gamma <= 0:
         raise ValueError("stationary state requires gamma > 0")
-    return 2.0 * p.lambda_ * p.g**2 / p.omega**2
+    return 2.0 * p.lambda_ / p.omega**2
 

@@ -160,7 +160,6 @@ def _run_sweep_to_csv(output: str, timestamp: bool, command: str, **given):
     kw = {field: default for field, _, default, _ in _EVOLVE_PARAMS.values()} | given
     if kw["n_steps"] is None:
         kw["n_steps"] = 5001 if kw["gt_max"] <= 50.0 else 50001
-    # g = 1 internally, so delta and gamma are the flag values
     p = SystemParams(g=1.0, delta=kw["delta_over_g"], lambda_=kw["lambda_"],
                      gamma=kw["gamma_times_g"])
     traj = trajectory.sweep(p, kw["gt_max"], kw["n_steps"], kw["source"])

@@ -45,13 +45,13 @@ def evolve_spectral_grid(p: SystemParams, gts) -> np.ndarray:
     rho_ab(t) = sum_mn rho0_mn exp(-i w_mn t - (gamma/2) w_mn^2 t) v_am
     conj(v_bn) is one (n, 16) @ (16, 16) product with K[(m, n), (a, b)] =
     v_am conj(v_bn); the (n, 16) factor is formed in place, so the peak is it
-    plus the result. eigh of H/g, whose couplings are 1, keeps |0,gg> decoupled.
+    plus the result.
     """
     gts = np.atleast_1d(check_times(gts))
-    w, v = np.linalg.eigh(hamiltonian(p) / p.g)
+    w, v = np.linalg.eigh(hamiltonian(p))
     rho0 = v.conj().T @ initial_state(p) @ v
     omega_mn = w[:, None] - w[None, :]
-    coef = -1j * omega_mn - p.gamma * p.g / 2.0 * omega_mn**2
+    coef = -1j * omega_mn - p.gamma / 2.0 * omega_mn**2
     kernel = np.einsum("am,bn->mnab", v, v.conj()).reshape(16, 16)
     phases = np.multiply.outer(gts, coef.ravel())
     np.exp(phases, out=phases)
@@ -118,14 +118,23 @@ def _rk4_propagator(p: SystemParams, t: float, n_steps: int) -> np.ndarray:
 
     The right-hand side is vec' = L vec with L = -i C - (gamma/2) C^2 and
     C = H (x) I - I (x) H^T. On a linear right-hand side one RK4 step is its
-    stability polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 at z = step * L.
+    stability polynomial I + E, E = z + z^2/2 + z^3/6 + z^4/24 at z = step * L.
+    The power keeps E apart from I, squared as 2E + E^2 and joined as
+    A + B + AB, so rounding E relative to I does not grow with the steps.
     """
     h, i4 = hamiltonian(p), np.eye(4)
     c = np.kron(h, i4) - np.kron(i4, h.T)
     z = t / n_steps * (-1j * c - p.gamma / 2.0 * (c @ c))
     eye = np.eye(16)
-    step = eye + z @ (eye + z / 2.0 @ (eye + z / 3.0 @ (eye + z / 4.0)))
-    return np.linalg.matrix_power(step, n_steps)
+    e = z @ (eye + z / 2.0 @ (eye + z / 3.0 @ (eye + z / 4.0)))
+    power = np.zeros_like(e)
+    while True:
+        if n_steps & 1:
+            power += e + power @ e
+        n_steps >>= 1
+        if not n_steps:
+            return eye + power
+        e = 2.0 * e + e @ e
 
 
 def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.ndarray:
@@ -134,14 +143,7 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     equal intervals share one propagator. dt defaults to evolve_rk4_grid's.
     """
     if dt is None:
-        radius = p.omega * math.hypot(1.0, p.gamma * p.omega / 2.0)
-        if not radius < math.inf:
-            raise ValueError(
-                "the Liouvillian's spectral radius Omega sqrt(1 + (gamma Omega/2)^2) "
-                f"overflows for gamma = {p.gamma:g}, Omega = {p.omega:g}, "
-                "so RK4 has no positive default step"
-            )
-        dt = 0.005 / radius
+        dt = 0.005 / p.radius
     elif not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     gts = np.atleast_1d(check_times(gts))
@@ -150,7 +152,7 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     vec = initial_state(p).reshape(16)
     states = np.empty((len(gts), 16), dtype=complex)
     propagators = {}
-    for i, t in enumerate(np.diff(gts, prepend=0.0) / p.g):
+    for i, t in enumerate(np.diff(gts, prepend=0.0)):
         if t not in propagators:
             if not t / dt < math.inf:
                 raise ValueError(f"the RK4 step count ceil({t:g} / dt) overflows, dt = {dt:g}")
@@ -168,8 +170,8 @@ def evolve_rk4(
 ) -> np.ndarray:
     """Fixed-step RK4 integration of the master equation up to scaled time gt.
 
-    dt is the unscaled step; the default is evolve_rk4_grid's, 0.005 over
-    the Liouvillian's spectral radius. The run takes n = ceil(gt / (g dt))
+    dt is the step in gt; the default is evolve_rk4_grid's, 0.005 over
+    the Liouvillian's spectral radius. The run takes n = ceil(gt / dt)
     equal steps as one power of the one-step propagator that
     evolve_rk4_grid uses. With check_step it is repeated with exactly 2n
     steps, and a discrepancy above 1e-4, or non-finite states from either
@@ -193,8 +195,8 @@ def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
     """RK4 block states at nondecreasing scaled times, shape (n, 4, 4).
 
     Each interval between grid points is integrated from the state at the
-    previous point (no step-halving check). The unscaled step is 0.005 over
-    the Liouvillian's spectral radius Omega sqrt(1 + (gamma Omega / 2)^2),
+    previous point (no step-halving check). The step is 0.005 over the
+    Liouvillian's spectral radius Omega sqrt(1 + (gamma Omega / 2)^2),
     which keeps stiff dephasing inside RK4's stability region and is
     0.005/Omega without dephasing. The steps are one propagator raised to
     the step count, so the cost grows with the logarithm of that count.

@@ -4,6 +4,7 @@ Two identical two-level atoms couple symmetrically to one cavity mode that
 starts in vacuum. We work in the rotating frame where only the detuning
 Delta = omega_0 - omega and the coupling g appear; the dropped multiple of
 the conserved excitation number contributes only sector-global phases.
+All is in units of g, so g = 1, delta is Delta/g, gamma is gamma g, times gt.
 
 The initial state holds at most one excitation, and both the Hamiltonian
 and the phase-dephasing term conserve excitation number. Every state
@@ -18,6 +19,7 @@ Basis conventions (fixed once, everything downstream depends on them):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +37,12 @@ SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical parameters of the two-atom/cavity system.
+    """Physical parameters of the two-atom/cavity system, in units of g.
 
-    g       coupling strength (> 0)
-    delta   detuning Delta = omega_0 - omega (any sign)
+    g       coupling strength, fixed at 1
+    delta   detuning Delta/g, with Delta = omega_0 - omega (any sign, |delta| <= 1e150)
     lambda_ initial excited population of atom 1, in [0, 1]
-    gamma   phase decoherence rate (>= 0; units of time)
-
-    g, delta, gamma, Omega^2 = Delta^2 + 8 g^2 and gamma g must be finite, and
-    |Delta/g| must be at most 1e150.
+    gamma   phase decoherence rate gamma g (>= 0, finite)
     """
 
     g: float
@@ -52,32 +51,34 @@ class SystemParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("g", "delta", "gamma"):
+        if self.g != 1.0:
+            raise ValueError("g must be 1 (delta is Delta/g, gamma is gamma g, times are gt), "
+                             f"got {self.g}")
+        for name in ("delta", "gamma"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        # float products overflow to inf, where ** would raise OverflowError
-        delta, g, gamma = float(self.delta), float(self.g), float(self.gamma)
-        if not np.isfinite(delta * delta + 8.0 * g * g):
-            raise ValueError(
-                f"Omega^2 = Delta^2 + 8 g^2 overflows for delta = {self.delta}, g = {self.g}"
-            )
-        # a sweep runs in units of g, where gamma g must be finite and
-        # (Omega/g + |Delta/g|)^2 must not overflow
-        if not (abs(delta / g) <= 1e150 and np.isfinite(gamma * g)):
-            raise ValueError(f"|Delta/g| must be at most 1e150 and gamma g finite, "
-                             f"got {abs(delta / g):g} and {gamma * g:g}")
+        # so that (Omega + |Delta|)^2 cannot overflow
+        if not abs(self.delta) <= 1e150:
+            raise ValueError(f"|delta| must be at most 1e150, got {abs(self.delta):g}")
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError(f"lambda_ must be in [0, 1], got {self.lambda_}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not self.radius < math.inf:
+            raise ValueError("the Liouvillian's spectral radius Omega sqrt(1 + (gamma Omega/2)^2) "
+                             f"overflows for gamma = {self.gamma:g}, Omega = {self.omega:g}, "
+                             "so RK4 has no positive default step")
 
     @property
     def omega(self) -> float:
-        """Generalized Rabi frequency Omega = sqrt(Delta^2 + 8 g^2)."""
-        return float(np.sqrt(self.delta**2 + 8.0 * self.g**2))
+        """Generalized Rabi frequency Omega/g = sqrt((Delta/g)^2 + 8)."""
+        return float(np.sqrt(self.delta**2 + 8.0))
+
+    @property
+    def radius(self) -> float:
+        """The Liouvillian's spectral radius, a bound on every decay rate gamma w^2/2."""
+        return self.omega * math.hypot(1.0, self.gamma * self.omega / 2.0)
 
     @property
     def dim(self) -> int:
@@ -101,14 +102,14 @@ def check_times(gt) -> np.ndarray:
 
 def hamiltonian(p: SystemParams) -> np.ndarray:
     """Rotating-frame Hamiltonian on the block (|0,eg>, |0,ge>, |0,gg>,
-    |1,gg>): Delta on |0,eg> and |0,ge>, and the coupling g between each of
-    them and |1,gg>."""
-    d, g = p.delta, p.g
+    |1,gg>) over g: Delta/g on |0,eg> and |0,ge>, and the coupling 1 between
+    each of them and |1,gg>."""
+    d = p.delta
     return np.array(
-        [[d, 0, 0, g],
-         [0, d, 0, g],
+        [[d, 0, 0, 1],
+         [0, d, 0, 1],
          [0, 0, 0, 0],
-         [g, g, 0, 0]],
+         [1, 1, 0, 0]],
         dtype=complex,
     )
 

@@ -82,13 +82,13 @@ class TestEvolve:
         for flag in ("--delta", "--gamma"):
             for bad in ("nan", "inf"):
                 assert main(["evolve", flag, bad]) == 2
-        # finite, but Omega^2 = Delta^2 + 8 g^2 overflows
+        # finite, but past |delta| <= 1e150
         capsys.readouterr()
         for argv in (["evolve", "--source", "analytic", "--delta", "1e200"],
                      ["evolve", "--source", "spectral", "--delta", "1e200"],
                      ["recurrences", "--delta", "1e200"]):
             assert main(argv) == 2
-            assert "error: Omega^2" in capsys.readouterr().err
+            assert "error: |delta| must be at most 1e150, got 1e+200" in capsys.readouterr().err
 
     def test_rk4_under_stiff_dephasing(self, tmp_path):
         argv = ["evolve", "--delta", "0.5", "--gamma", "1000", "--gt-max", "1",
@@ -102,8 +102,6 @@ class TestEvolve:
 
     @pytest.mark.parametrize("source, flags", [
         ("rk4", ["--gamma", "1e30"]),  # the propagator power overflows
-        # inf * 0 at gt = 0; Delta = 1e6 keeps gt_max = 1 within the phase bound
-        ("spectral", ["--gamma", "1e300", "--delta", "1e6"]),
     ])
     def test_solver_overflow_is_named_as_such(self, tmp_path, capsys, source, flags):
         argv = ["evolve", *flags, "--gt-max", "1", "--n-steps", "3"]
@@ -116,6 +114,22 @@ class TestEvolve:
         assert main([*argv, "--source", "analytic", "-o", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert np.isfinite(read_csv(out)[2]).all()
+
+    @pytest.mark.parametrize("flags", [
+        # the spectral source met inf * 0 at gt = 0 here, while the analytic one ran
+        ["--gamma", "1e300", "--delta", "1e6"],
+        # the analytic source ran to the stationary state, the other two exited 2
+        ["--gamma", "1e308"],
+    ])
+    def test_overflowing_radius_is_refused_by_every_source(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        for source in trajectory.SOURCES:
+            argv = ["evolve", *flags, "--source", source, "--gt-max", "1", "--n-steps", "3"]
+            assert main([*argv, "-o", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: the Liouvillian's spectral radius "
+                "Omega sqrt(1 + (gamma Omega/2)^2) overflows")
+            assert not out.exists()
 
     def test_rk4_overflowing_default_step_is_named(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -144,7 +158,7 @@ class TestEvolve:
         assert main(["evolve", "--gt-max", "1e17", "--n-steps", "3", "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: gt_max = 1e+17 is past the phase-precision bound: "
-            "eps (Omega + |Delta|) gt_max / g = 62.8 > 1e-08\n")
+            "eps (Omega + |Delta|) gt_max = 62.8 > 1e-08\n")
         assert not out.exists()
 
     def test_rk4_large_detuning_finishes(self):

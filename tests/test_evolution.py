@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from cavityent import analytic, evolution
+from cavityent import analytic, evolution, trajectory
 from cavityent.model import SystemParams, hamiltonian, initial_state
 
 
@@ -147,6 +148,33 @@ class TestRK4:
         got = evolution.evolve_rk4_grid(p, gts)
         assert np.abs(got - evolution.evolve_spectral_grid(p, gts)).max() < 1e-8
 
+    @pytest.mark.parametrize("kw, t", [(dict(delta=0.5, lambda_=0.7, gamma=0.01), 10.0),
+                                       (dict(delta=-3.0, lambda_=0.7, gamma=0.5), 3.0)])
+    @pytest.mark.parametrize("n_steps", [10**14, 2**50 - 1])
+    def test_propagator_matches_expm_at_many_steps(self, kw, t, n_steps):
+        # the truncation n |z|^5 / 120 is below 1e-40 at these steps; rounding
+        # the one-step matrix relative to I erred by up to 4e-2 here
+        from scipy.linalg import expm
+
+        p = params(**kw)
+        h, i4 = hamiltonian(p), np.eye(4)
+        c = np.kron(h, i4) - np.kron(i4, h.T)
+        want = expm(t * (-1j * c - p.gamma / 2.0 * (c @ c)))
+        assert np.abs(evolution._rk4_propagator(p, t, n_steps) - want).max() < 1e-13
+
+    def test_wrong_state_under_extreme_dephasing_is_refused(self):
+        # at gamma = 1e25 the default step leaves L's kernel to rounding over
+        # 1e27 steps: the RK4 state is finite but far from the spectral one
+        p = params(delta=0.5, gamma=1e25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = evolution.evolve_rk4_grid(p, [1.0])[0]
+            assert np.abs(rho - evolution.evolve_spectral(p, 1.0)).max() > 0.1
+            with pytest.raises(evolution.StepSizeError):
+                evolution.evolve_rk4(p, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "linear_entropy must be finite and within [0, 1]")):
+            trajectory.sweep(p, 1.0, 3, source=trajectory.RK4)
+
     def test_large_detuning_finishes(self):
         # about 2e10 steps of 0.005/Omega: log2 of that many matrix products
         p = params(delta=1e8)
@@ -250,8 +278,8 @@ class TestDephasedOracle:
         assert np.abs(got - analytic.concurrence_closed(p, gts)).max() < 1e-9
 
     def test_strong_dephasing_reaches_stationary_value(self):
-        # also at g = 2, where g^2 / Omega^2 differs from its g = 1 value
-        for g, delta in ((1.0, 0.5), (2.0, 0.5)):
-            p = params(g=g, delta=delta, gamma=1.0)
+        # also at the units-of-g twin of g = 2, Delta = 0.5, gamma = 1
+        for delta, gamma in ((0.5, 1.0), (0.25, 2.0)):
+            p = params(delta=delta, gamma=gamma)
             got = evolution.dephased_concurrence_oracle(p, 500.0)
             assert got == pytest.approx(analytic.stationary_concurrence(p), abs=1e-4)
