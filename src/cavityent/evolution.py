@@ -25,6 +25,12 @@ import numpy as np
 from .model import IDX_GG, SystemParams, check_times, hamiltonian, initial_state
 
 
+# a solution whose rounding bound exceeds ROUNDING_TOL would print noise and is refused;
+# EPS is a Python float, so a bound that overflows reads inf without a numpy warning
+EPS = float(np.finfo(float).eps)
+ROUNDING_TOL = 1e-8
+
+
 class StepSizeError(RuntimeError):
     """RK4 step too large: step-halving discrepancy exceeded the bound."""
 
@@ -141,6 +147,8 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     """RK4 block states carried from t = 0 over each interval between
     nondecreasing scaled times in refine * ceil(interval / dt) equal steps;
     equal intervals share one propagator. dt defaults to evolve_rk4_grid's.
+    Each step rounds the dephasing along the stationary modes, so the states
+    err by about eps gamma t_max: ValueError past eps gamma t_max = 1e-8.
     """
     if dt is None:
         dt = 0.005 / p.radius
@@ -149,10 +157,14 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     gts = np.atleast_1d(check_times(gts))
     if np.any(np.diff(gts) < 0):
         raise ValueError("times must be nondecreasing")
+    t_max = float(gts.max(initial=0.0))
+    if (rounding := EPS * float(p.gamma) * t_max) > ROUNDING_TOL:
+        raise ValueError(f"gt = {t_max:g} is past RK4's rounding bound: "
+                         f"eps gamma gt = {rounding:.3g} > {ROUNDING_TOL:g}")
     vec = initial_state(p).reshape(16)
     states = np.empty((len(gts), 16), dtype=complex)
     propagators = {}
-    for i, t in enumerate(np.diff(gts, prepend=0.0)):
+    for i, t in enumerate(np.diff(gts, prepend=0.0).tolist()):
         if t not in propagators:
             if not t / dt < math.inf:
                 raise ValueError(f"the RK4 step count ceil({t:g} / dt) overflows, dt = {dt:g}")
@@ -200,6 +212,7 @@ def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
     which keeps stiff dephasing inside RK4's stability region and is
     0.005/Omega without dephasing. The steps are one propagator raised to
     the step count, so the cost grows with the logarithm of that count.
+    ValueError past RK4's rounding bound, eps gamma gt_max = 1e-8.
     """
     return _rk4_grid(p, gts, None)
 

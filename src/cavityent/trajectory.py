@@ -13,7 +13,7 @@ one read-out for every source, in blocks of _BLOCK times whose temporaries
 do not grow with the grid; an RK4 block starts from t = 0. Numeric block
 states must trace to X-states (evolution.traced_x_entries). Raw metrics
 must be finite and lie in their physical ranges within 1e-9; they are then
-clipped. The arrays are read-only; purity is read off the linear entropy.
+clipped. A trajectory stores gt_max, the plane and bell_max, read-only.
 """
 from __future__ import annotations
 
@@ -51,29 +51,29 @@ SOURCES = tuple(_X_STATE_ENTRIES)
 @dataclass(frozen=True)
 class Trajectory:
     params: SystemParams
-    gt: np.ndarray
+    gt_max: float
     plane: np.ndarray
     bell_max: np.ndarray
-    # M and C, read-only views of the (n, 2) plane's columns, and Tr rho^2 = 1 - (3/4) M
+    # the sweep's uniform grid of scaled times from 0, M and C as read-only
+    # views of the (n, 2) plane's columns, and Tr rho^2 = 1 - (3/4) M
+    gt = property(lambda self: np.linspace(0.0, self.gt_max, len(self)))
     linear_entropy = property(lambda self: self.plane[:, 0])
     concurrence = property(lambda self: self.plane[:, 1])
     purity = property(lambda self: 1.0 - 0.75 * self.plane[:, 0])
 
     def __post_init__(self):
         # checked and stored read-only, so no write can leave the cached index stale
-        for name in ("gt", "plane", "bell_max"):
-            column = frozen_plane_array(getattr(self, name), name)
-            object.__setattr__(self, name, column)
-            if name != "plane" and (column.ndim != 1 or len(column) != len(self.gt)):
-                raise ValueError(f"{name} must be 1-D with one entry per time in gt, "
-                                 f"got shape {column.shape}")
-        if self.plane.shape != (len(self.gt), 2):
-            raise ValueError(f"plane must have shape ({len(self.gt)}, 2), got {self.plane.shape}")
-        if len(self.gt) == 0:
+        for name in ("plane", "bell_max"):
+            object.__setattr__(self, name, frozen_plane_array(getattr(self, name), name))
+        if self.bell_max.ndim != 1 or self.plane.shape != (len(self.bell_max), 2):
+            raise ValueError("plane and bell_max must have shapes (n, 2) and (n,), "
+                             f"got {self.plane.shape} and {self.bell_max.shape}")
+        if len(self.plane) == 0:
             raise ValueError("a trajectory needs at least one time")
+        check_times(self.gt_max)
 
     def __len__(self) -> int:
-        return len(self.gt)
+        return len(self.plane)
 
     @cached_property
     def tree(self):
@@ -207,12 +207,6 @@ def _prune(qx, qy, bound, boxes, owner, box):
 
 
 _RANGE_SLACK = 1e-9
-# every source computes its phases, up to (Omega + |Delta|) gt, in doubles,
-# so their absolute error grows like eps (Omega + |Delta|) gt_max;
-# a sweep whose bound exceeds _PHASE_TOL would print noise and is refused. _EPS
-# is a Python float, so a bound that overflows reads inf without a numpy warning
-_EPS = float(np.finfo(float).eps)
-_PHASE_TOL = 1e-8
 _RANGES = {
     "concurrence": (0.0, 1.0),
     "linear_entropy": (0.0, 1.0),
@@ -252,20 +246,22 @@ def sweep(
     p: SystemParams, gt_max: float, n_steps: int, source: str = ANALYTIC
 ) -> Trajectory:
     """Uniform time-grid sweep of all trajectory metrics; ValueError past
-    the phase-precision bound eps (Omega + |Delta|) gt_max <= 1e-8."""
+    the phase-precision bound eps (Omega + |Delta|) gt_max <= 1e-8, and for
+    rk4 past its rounding bound eps gamma gt_max <= 1e-8."""
     if check_times(gt_max) == 0:
         raise ValueError("gt_max must be positive")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
-    phase_error = _EPS * (p.omega + abs(float(p.delta))) * float(gt_max)
-    if phase_error > _PHASE_TOL:
+    # every source computes its phases, up to (Omega + |Delta|) gt, in doubles
+    phase_error = evolution.EPS * (p.omega + abs(float(p.delta))) * float(gt_max)
+    if phase_error > evolution.ROUNDING_TOL:
         raise ValueError(
             f"gt_max = {gt_max:g} is past the phase-precision bound: "
-            f"eps (Omega + |Delta|) gt_max = {phase_error:.3g} > {_PHASE_TOL:g}"
+            f"eps (Omega + |Delta|) gt_max = {phase_error:.3g} > {evolution.ROUNDING_TOL:g}"
         )
-    gts = np.linspace(0.0, gt_max, n_steps).copy()  # owns its data, so stored uncopied
+    gts = np.linspace(0.0, gt_max, n_steps)
     entries = _X_STATE_ENTRIES[source]
     plane = np.empty((n_steps, 2))
     raw = {"concurrence": plane[:, 1], "linear_entropy": plane[:, 0],
@@ -278,9 +274,9 @@ def sweep(
             for name, values in part.items():
                 raw[name][lo:lo + _BLOCK] = values
     _clip_to_ranges(raw)
-    for column in (gts, plane, raw["bell_max"]):
+    for column in (plane, raw["bell_max"]):
         column.flags.writeable = False
-    return Trajectory(p, gts, plane, raw["bell_max"])
+    return Trajectory(p, float(gt_max), plane, raw["bell_max"])
 
 
 def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
@@ -302,17 +298,14 @@ def mirror_symmetry_check(traj: Trajectory, curve: FrontierCurve) -> float:
     distance and a point never queried lies within its seed, so within the
     score: it equals the largest nearest distance of all reflected points.
     Undefined for a pure initial state, lambda = 0 or 1 (the initial linear
-    entropy (8/3) lambda (1 - lambda) is 0 and the axis degenerates), for a
-    grid that does not start at gt = 0, whose first point is not the initial
-    state, and for an initial linear entropy outside the curve's span, where
+    entropy (8/3) lambda (1 - lambda) is 0 and the axis degenerates), and
+    for an initial linear entropy outside the curve's span, where
     interpolation would clamp.
     """
     if not 0.0 < traj.params.lambda_ < 1.0:
         raise ValueError("mirror axis undefined unless 0 < lambda_ < 1")
     if curve.kind != MEMS_CM:
         raise ValueError(f"mirror axis is defined by the MEMS curve, not {curve.kind!r}")
-    if traj.gt[0] != 0:
-        raise ValueError(f"mirror axis needs the t = 0 point, but gt starts at {traj.gt[0]}")
     m0 = float(traj.linear_entropy[0])
     m_lo, m_hi = curve.points[0, 0], curve.points[-1, 0]
     if not m_lo <= m0 <= m_hi:

@@ -379,7 +379,7 @@ def plane_trajectory(m: np.ndarray, c: np.ndarray) -> Trajectory:
     """Trajectory with the (M, C) points (m, c) and a mixed start."""
     return Trajectory(
         params=SystemParams(g=1.0, delta=0.5, lambda_=0.7),
-        gt=np.arange(len(m), dtype=float),
+        gt_max=len(m) - 1,
         plane=np.column_stack([m, c]),
         bell_max=np.full(len(m), 2.0),
     )

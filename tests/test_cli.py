@@ -100,20 +100,26 @@ class TestEvolve:
             rows[source] = read_csv(out)[2]
         assert np.abs(rows["rk4"] - rows["spectral"]).max() < 1e-8
 
-    @pytest.mark.parametrize("source, flags", [
-        ("rk4", ["--gamma", "1e30"]),  # the propagator power overflows
+    @pytest.mark.parametrize("gamma, shown", [
+        # RK4 printed concurrences 2.1e-5 and 2.1e-3 off, and exited 0
+        ("1e12", "0.000222"),
+        ("1e14", "0.0222"),
+        # the propagator power overflowed
+        ("1e30", "2.22e+14"),
     ])
-    def test_solver_overflow_is_named_as_such(self, tmp_path, capsys, source, flags):
-        argv = ["evolve", *flags, "--gt-max", "1", "--n-steps", "3"]
+    def test_past_rk4_rounding_bound_exits_2(self, tmp_path, capsys, gamma, shown):
+        argv = ["evolve", "--delta", "0.5", "--lambda", "0.7", "--gamma", gamma,
+                "--gt-max", "1", "--n-steps", "3"]
         out = tmp_path / "t.csv"
-        assert main([*argv, "--source", source, "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: the solver produced non-finite reduced states\n"
+        assert main([*argv, "--source", "rk4", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: gt = 1 is past RK4's rounding bound: eps gamma gt = {shown} > 1e-08\n")
         assert not out.exists()
-        # the closed form underflows its damping to 0 and is fine
-        assert main([*argv, "--source", "analytic", "-o", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert np.isfinite(read_csv(out)[2]).all()
+        # the closed form and the spectral source damp the coherences to 0 and are fine
+        for source in ("analytic", "spectral"):
+            assert main([*argv, "--source", source, "-o", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            assert np.isfinite(read_csv(out)[2]).all()
 
     @pytest.mark.parametrize("flags", [
         # the spectral source met inf * 0 at gt = 0 here, while the analytic one ran
@@ -139,17 +145,6 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error: the Liouvillian's spectral radius "
                               "Omega sqrt(1 + (gamma Omega/2)^2) overflows")
-        assert not out.exists()
-
-    def test_rk4_overflowing_step_count_is_named(self, tmp_path, capsys):
-        # the default step is positive but so small that interval / dt is inf
-        out = tmp_path / "t.csv"
-        argv = ["evolve", "--source", "rk4", "--gamma", "1e305", "--gt-max", "1000",
-                "--n-steps", "3", "-o", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the RK4 step count ceil(500 / dt) overflows")
-        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_past_the_phase_bound_exits_2(self, tmp_path, capsys):

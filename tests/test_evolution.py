@@ -126,12 +126,20 @@ class TestRK4:
                 evolution.evolve_rk4(p, 1.0, dt=dt)
 
     def test_non_finite_result_raises(self):
-        # the propagator power overflows; NaN fails every comparison, so the
-        # step-halving check must name the non-finite states, not pass them
-        p = params(delta=0.5, gamma=1e30)
+        # a step far outside RK4's stability region makes the propagator power
+        # overflow; NaN fails every comparison, so the step-halving check must
+        # name the non-finite states, not pass them
+        p = params(delta=0.5, gamma=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(evolution.StepSizeError, match="non-finite"):
-                evolution.evolve_rk4(p, 1.0)
+                evolution.evolve_rk4(p, 1e4, dt=100.0)
+
+    def test_overflowing_step_count_is_named(self):
+        # the default step 0.005 / Omega is 5e-153 here, so interval / dt is inf;
+        # gamma = 0 leaves the rounding bound at 0
+        with pytest.raises(ValueError, match=re.escape(
+                "the RK4 step count ceil(1e+200 / dt) overflows, dt = 5e-153")):
+            evolution.evolve_rk4_grid(params(delta=1e150), [1e200])
 
     def test_rejects_bad_args(self):
         p = params()
@@ -163,17 +171,35 @@ class TestRK4:
         assert np.abs(evolution._rk4_propagator(p, t, n_steps) - want).max() < 1e-13
 
     def test_wrong_state_under_extreme_dephasing_is_refused(self):
-        # at gamma = 1e25 the default step leaves L's kernel to rounding over
-        # 1e27 steps: the RK4 state is finite but far from the spectral one
+        # at gamma = 1e25 the default step left L's kernel to rounding over
+        # 1e27 steps, and the RK4 state came out finite but 0.379 from the
+        # spectral one; every RK4 entry point now refuses it by the rounding
+        # bound, before any propagator is formed
         p = params(delta=0.5, gamma=1e25)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho = evolution.evolve_rk4_grid(p, [1.0])[0]
-            assert np.abs(rho - evolution.evolve_spectral(p, 1.0)).max() > 0.1
-            with pytest.raises(evolution.StepSizeError):
-                evolution.evolve_rk4(p, 1.0)
-        with pytest.raises(ValueError, match=re.escape(
-                "linear_entropy must be finite and within [0, 1]")):
-            trajectory.sweep(p, 1.0, 3, source=trajectory.RK4)
+        refusal = "^" + re.escape(
+            "gt = 1 is past RK4's rounding bound: eps gamma gt = 2.22e+09 > 1e-08") + "$"
+        for run in (lambda: evolution.evolve_rk4_grid(p, [1.0]),
+                    lambda: evolution.evolve_rk4(p, 1.0),
+                    lambda: trajectory.sweep(p, 1.0, 3, source=trajectory.RK4)):
+            with pytest.raises(ValueError, match=refusal):
+                run()
+
+    def test_rounding_bound_is_eps_gamma_t_max(self):
+        # refused just past eps gamma t_max = 1e-8 and not at it, where the
+        # state is within 2e-8 of the spectral one; the bound reads the
+        # largest time, whatever the grid's length
+        p = params(delta=0.5, lambda_=0.7, gamma=1e4)
+        t_max = 1e-8 / (evolution.EPS * p.gamma)
+        gts = np.linspace(0.0, t_max, 5)
+        got = evolution.evolve_rk4_grid(p, gts)
+        assert np.abs(got - evolution.evolve_spectral_grid(p, gts)).max() < 2e-8
+        for grid in ([np.nextafter(t_max, np.inf)], [0.0, 1.0, np.nextafter(t_max, np.inf)]):
+            with pytest.raises(ValueError, match="past RK4's rounding bound"):
+                evolution.evolve_rk4_grid(p, grid)
+        # a bound that overflows reads inf, without a numpy warning, also for a numpy gamma
+        p = params(delta=0.5, gamma=np.float64(1e300))
+        with pytest.raises(ValueError, match=re.escape("eps gamma gt = inf > 1e-08")):
+            evolution.evolve_rk4_grid(p, [1e300])
 
     def test_large_detuning_finishes(self):
         # about 2e10 steps of 0.005/Omega: log2 of that many matrix products

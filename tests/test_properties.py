@@ -158,14 +158,16 @@ def test_analytic_sweep_is_the_stack_readout(p, gt_max, n_steps):
 
 
 # Delta near the paper's values, up to 1e8, and over all the doubles, past
-# the +-1e150 that SystemParams accepts
+# the +-1e150 that SystemParams accepts; gamma near the paper's values and
+# up to 1e308, past where SystemParams refuses the spectral radius
 far_params = st.builds(
     dict,
     g=st.just(1.0),
     delta=st.floats(-5.0, 5.0) | st.floats(-1e8, 1e8)
     | st.floats(allow_nan=False, allow_infinity=False),
     lambda_=st.floats(0.0, 1.0),
-    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.1),
+                    st.floats(-10.0, 308.0).map(lambda e: 10.0**e)),
 )
 
 
@@ -192,14 +194,29 @@ def _far(delta, lambda_=1.0, gamma=0.0, g=1.0):
 @example(kw=_far(0.0, 1.0, 1e308), gt_max=1.0)
 # a coupling other than 1 is refused
 @example(kw=_far(0.5, 0.7, g=1e-300), gt_max=1.0)
+# RK4 printed concurrences 2.1e-5 and 2.1e-3 off the closed form, unrefused
+@example(kw=_far(0.5, 0.7, 1e12), gt_max=1.0)
+@example(kw=_far(0.5, 0.7, 1e14), gt_max=1.0)
+# within the rounding bound, RK4's metrics err by 20 eps gamma gt_max here
+@example(kw=_far(63.54343475687649, 0.9997203859885463, 607.8174215694135),
+         gt_max=46075.549842840024)
+# the spectral linear entropy is 2.8e-8 = 1.2 eps gamma gt_max off the closed form's
+@example(kw=_far(20582.0, 1.0, 1e5), gt_max=1000.0)
 def test_accepted_sweeps_agree_across_sources(kw, gt_max):
     # every (p, gt_max) that SystemParams and the sweep's phase bound accept
-    # runs on all three sources, and anything else is refused by all three.
-    # The phases (Omega + |Delta|) gt carry an absolute error of about eps
-    # per unit, so a sweep is refused past eps (Omega + |Delta|) gt_max = 1e-8.
-    # RK4 adds its truncation error at step h: n one-step errors |z|^5 / 120
-    # with |z| about h Omega, so of order gt Omega (h Omega)^4, taken with
-    # factor 1 to cover the slopes of the metrics
+    # runs on the analytic and spectral sources, and anything else is refused
+    # by all three. The phases (Omega + |Delta|) gt carry an absolute error of
+    # about eps per unit, so a sweep is refused past
+    # eps (Omega + |Delta|) gt_max = 1e-8. The damping exponents carry about
+    # eps gamma gt: RK4 rounds along its stationary modes, and the analytic
+    # and spectral sources round the slow frequency (Omega - |Delta|) / 2 by
+    # eps Omega. The metrics' slopes amplify that (2 sqrt 2 on T_zz, a sum of
+    # 4 entries; RK4 measured up to 21 eps gamma gt_max), so the numeric
+    # sources are held to the larger of 1e-8 and 32 eps gamma gt_max, and RK4
+    # is refused exactly past eps gamma gt_max = 1e-8. RK4 adds its truncation
+    # error at step h: n one-step errors |z|^5 / 120 with |z| about h Omega,
+    # so of order gt Omega (h Omega)^4, taken with factor 1 to cover the
+    # slopes of the metrics
     try:
         p = SystemParams(**kw)
     except ValueError as exc:
@@ -219,9 +236,17 @@ def test_accepted_sweeps_agree_across_sources(kw, gt_max):
             with pytest.raises(ValueError, match="phase-precision bound"):
                 trajectory.sweep(p, gt_max, 3, source=source)
         return
-    h = 0.005 / p.radius
-    for source, bound in ((trajectory.SPECTRAL, 1e-8),
-                          (trajectory.RK4, 1e-8 + gt_max * p.omega * (h * p.omega) ** 4)):
+    rounding = evolution.EPS * p.gamma * gt_max
+    tol = max(1e-8, 32.0 * rounding)
+    if rounding > evolution.ROUNDING_TOL:
+        with pytest.raises(ValueError, match="^gt = .* is past RK4's rounding bound"):
+            trajectory.sweep(p, gt_max, 3, source=trajectory.RK4)
+        sources = ((trajectory.SPECTRAL, tol),)
+    else:
+        h = 0.005 / p.radius
+        sources = ((trajectory.SPECTRAL, tol),
+                   (trajectory.RK4, tol + gt_max * p.omega * (h * p.omega) ** 4))
+    for source, bound in sources:
         numeric = trajectory.sweep(p, gt_max, 3, source=source)
         for name in ("concurrence", "linear_entropy", "bell_max", "purity"):
             assert np.abs(getattr(closed, name) - getattr(numeric, name)).max() < bound

@@ -156,15 +156,16 @@ class TestSweep:
 
     def test_sweep_columns_are_read_only(self):
         # a Trajectory caches its plane index, which must not go stale; the
-        # purity is a new array at every read, so a write into one changes
-        # no later read
+        # times and the purity are new arrays at every read, so a write into
+        # one changes no later read
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
-        for name in ("gt", "plane", "concurrence", "linear_entropy", "bell_max"):
+        for name in ("plane", "concurrence", "linear_entropy", "bell_max"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(traj, name)[0] = 0.5
-        purity = traj.purity
-        purity[0] = 0.5
-        assert traj.purity[0] == 1.0
+        for name, first in (("gt", 0.0), ("purity", 1.0)):
+            column = getattr(traj, name)
+            column[0] = 0.5
+            assert getattr(traj, name)[0] == first
 
     def test_direct_trajectory_does_not_go_stale(self):
         # a write into the caller's plane after a plane reduction must not
@@ -192,28 +193,65 @@ class TestSweep:
         assert not np.shares_memory(traj.plane, owned)
         assert trajectory.min_mems_distance(traj) == trajectory.min_mems_distance(fresh)
 
-    @pytest.mark.parametrize("name, column", [("plane", 0), ("plane", 1), ("gt", ...),
-                                              ("bell_max", ...)],
-                             ids=["0-linear entropy M", "1-concurrence C", "gt", "bell_max"])
+    @pytest.mark.parametrize("name, column", [("plane", 0), ("plane", 1), ("bell_max", ...)],
+                             ids=["0-linear entropy M", "1-concurrence C", "bell_max"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(1e150, 2e150), -1e200])
     def test_trajectory_rejects_non_finite_plane_points(self, name, column, bad):
         # refused when built, before a NaN could reach the index's cell codes
         # or a coordinate past frontier.PLANE_LIMIT overflow a squared distance;
-        # the times and the CHSH maxima are held to the same rule (column ...
-        # indexes a 1-D array by its row alone)
-        given = {"gt": np.arange(5.0), "plane": np.full((5, 2), 0.25),
-                 "bell_max": np.full(5, 2.0)}
+        # the CHSH maxima are held to the same rule (column ... indexes a 1-D
+        # array by its row alone)
+        given = {"plane": np.full((5, 2), 0.25), "bell_max": np.full(5, 2.0)}
         given[name][3, column] = bad
         with pytest.raises(ValueError, match=rf"^{name} must be finite and within 1e\+150$"):
-            trajectory.Trajectory(params(delta=0.5), **given)
+            trajectory.Trajectory(params(delta=0.5), 4.0, **given)
+
+    @pytest.mark.parametrize("gt_max", [np.nan, np.inf, -np.inf, -1e200, -5e-324])
+    def test_trajectory_rejects_a_bad_gt_max(self, gt_max):
+        # the times are rebuilt from gt_max, so it is held to the rule of
+        # every other time
+        with pytest.raises(ValueError, match="^times gt must be finite and nonnegative$"):
+            trajectory.Trajectory(params(delta=0.5), gt_max, np.full((5, 2), 0.25),
+                                  np.full(5, 2.0))
+
+    @pytest.mark.parametrize("n_steps", [2, 4097, 50001])
+    def test_times_are_the_sweeps_grid(self, monkeypatch, n_steps):
+        # gt is rebuilt from gt_max at each read, bit for bit the grid that
+        # the source was evaluated on, block after block
+        seen = []
+        entries = analytic.x_state_entries
+        monkeypatch.setattr(analytic, "x_state_entries",
+                            lambda p, gts: seen.append(gts.copy()) or entries(p, gts))
+        traj = trajectory.sweep(params(delta=0.5), 1000.0 / 3.0, n_steps)
+        assert traj.gt.tobytes() == np.concatenate(seen).tobytes()
+        assert traj.gt_max == 1000.0 / 3.0
+
+    def test_trajectory_holds_no_time_array(self):
+        # a 50 001-point trajectory holds its plane and bell_max, 1.15 MiB,
+        # and no time array (1.53 MiB with one); its plane index, cached at the
+        # first plane reduction, adds 0.84 MiB
+        assert [f.name for f in dataclasses.fields(trajectory.Trajectory)] == [
+            "params", "gt_max", "plane", "bell_max"]
+        p = params(delta=0.5, lambda_=0.7)
+        trajectory.min_mems_distance(trajectory.sweep(p, 500.0, 101))
+        tracemalloc.start()
+        try:
+            traj = trajectory.sweep(p, 500.0, 50001)
+            held = tracemalloc.get_traced_memory()[0]
+            trajectory.min_mems_distance(traj)
+            indexed = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.2 * 2**20
+        assert indexed <= 2.05 * 2**20
 
     def test_direct_trajectory_copies_every_writable_array(self):
         # every writable array is stored as a frozen copy, and the caller's
         # arrays stay writable
         rng = np.random.default_rng(6)
-        given = {"gt": np.arange(100.0), "plane": rng.uniform(0.0, 8.0 / 9.0, (100, 2)),
+        given = {"plane": rng.uniform(0.0, 8.0 / 9.0, (100, 2)),
                  "bell_max": rng.uniform(0.0, TSIRELSON, 100)}
-        traj = trajectory.Trajectory(params(delta=0.5), **given)
+        traj = trajectory.Trajectory(params(delta=0.5), 99.0, **given)
         for name, array in given.items():
             stored = getattr(traj, name)
             assert not np.shares_memory(stored, array)
@@ -221,27 +259,36 @@ class TestSweep:
             assert not stored.flags.writeable
             assert array.flags.writeable
 
-    def test_trajectory_keeps_read_only_columns(self):
+    def test_trajectory_keeps_read_only_columns(self, monkeypatch):
+        # the sweep hands over read-only arrays that own their data, so they
+        # are stored uncopied, there and in a Trajectory built from them
+        handed = []
+        freeze = trajectory.frozen_plane_array
+        monkeypatch.setattr(trajectory, "frozen_plane_array",
+                            lambda values, name: handed.append(values) or freeze(values, name))
         traj = trajectory.sweep(params(delta=0.5), 10.0, 11)
+        assert len(handed) == 2
+        assert handed[0] is traj.plane and handed[1] is traj.bell_max
         again = trajectory.Trajectory(
-            params=traj.params, gt=traj.gt, plane=traj.plane, bell_max=traj.bell_max)
-        for name in ("gt", "plane", "bell_max"):
+            params=traj.params, gt_max=traj.gt_max, plane=traj.plane, bell_max=traj.bell_max)
+        for name in ("plane", "bell_max"):
             assert getattr(again, name) is getattr(traj, name)
 
     def test_trajectory_rejects_misshapen_columns(self):
-        # every column is 1-D with one entry per time, and plane has one
-        # (M, C) row per time: a misshapen array fails when the Trajectory
-        # is built, not inside a later reduction
+        # bell_max is 1-D with one entry per point, and plane has one (M, C)
+        # row per point: a misshapen array fails when the Trajectory is
+        # built, not inside a later reduction
         traj = trajectory.sweep(params(delta=0.5), 10.0, 100)
-        for name in ("gt", "bell_max"):
-            column = getattr(traj, name)
-            bad = [column[:, None], column[0]] + ([] if name == "gt" else [column[:50]])
-            for value in bad:
-                with pytest.raises(ValueError, match=f"^{name} must be 1-D"):
-                    dataclasses.replace(traj, **{name: value})
-        for value in (traj.concurrence, np.zeros((100, 3)), traj.plane[:-1]):
-            with pytest.raises(ValueError, match=r"^plane must have shape \(100, 2\)"):
-                dataclasses.replace(traj, plane=value)
+        bell_max, plane = traj.bell_max, traj.plane
+        for given in ({"bell_max": bell_max[:, None]}, {"bell_max": bell_max[0]},
+                      {"bell_max": bell_max[:50]}, {"plane": traj.concurrence},
+                      {"plane": np.zeros((100, 3))}, {"plane": plane[:-1]}):
+            shapes = {"plane": plane.shape, "bell_max": bell_max.shape}
+            shapes.update((name, np.shape(value)) for name, value in given.items())
+            with pytest.raises(ValueError) as refused:
+                dataclasses.replace(traj, **given)
+            assert str(refused.value) == ("plane and bell_max must have shapes (n, 2) and (n,), "
+                                          f"got {shapes['plane']} and {shapes['bell_max']}")
 
     @pytest.mark.parametrize("source", trajectory.SOURCES)
     def test_sweep_peak_memory(self, source):
@@ -330,15 +377,6 @@ class TestPlanePatterns:
         traj = oracles.plane_trajectory(np.array([0.95, 0.5]), np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match=r"m0 = 0\.95 .*\[0\.0, 0\.888"):
             trajectory.mirror_symmetry_check(traj, mems_curve(5))
-
-    def test_mirror_check_rejects_a_grid_not_starting_at_zero(self):
-        # the axis is read off the t = 0 point, so a sweep cut to start at
-        # gt = 1 would be scored about another axis
-        traj = trajectory.sweep(params(delta=0.5, lambda_=0.7), 10.0, 101)
-        cut = trajectory.Trajectory(traj.params, traj.gt[10:], traj.plane[10:],
-                                    traj.bell_max[10:])
-        with pytest.raises(ValueError, match=r"gt starts at 1\.0"):
-            trajectory.mirror_symmetry_check(cut, mems_curve(2001))
 
     def test_entropy_dip_below_initial_for_low_lambda(self):
         # lambda = 0.6 dips below its starting mixedness, 0.7 and 0.9 do not
