@@ -29,6 +29,12 @@ from .model import IDX_GG, SystemParams, check_times, hamiltonian, initial_state
 # EPS is a Python float, so a bound that overflows reads inf without a numpy warning
 EPS = float(np.finfo(float).eps)
 ROUNDING_TOL = 1e-8
+# RK4 rounds the dephasing along the stationary modes at every step; measured
+# against the closed form, its metrics err by up to 25 eps gamma t_max and a
+# pure state's linear entropy dips below 0 by up to 11, so RK4 is refused past
+# eps gamma t_max = RK4_ROUNDING_TOL, which keeps both within the sweep's 1e-9
+# range slack
+RK4_ROUNDING_TOL = 4e-11
 
 
 class StepSizeError(RuntimeError):
@@ -147,8 +153,7 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     """RK4 block states carried from t = 0 over each interval between
     nondecreasing scaled times in refine * ceil(interval / dt) equal steps;
     equal intervals share one propagator. dt defaults to evolve_rk4_grid's.
-    Each step rounds the dephasing along the stationary modes, so the states
-    err by about eps gamma t_max: ValueError past eps gamma t_max = 1e-8.
+    ValueError past RK4's rounding bound eps gamma t_max = RK4_ROUNDING_TOL.
     """
     if dt is None:
         dt = 0.005 / p.radius
@@ -158,9 +163,9 @@ def _rk4_grid(p: SystemParams, gts, dt: float | None, refine: int = 1) -> np.nda
     if np.any(np.diff(gts) < 0):
         raise ValueError("times must be nondecreasing")
     t_max = float(gts.max(initial=0.0))
-    if (rounding := EPS * float(p.gamma) * t_max) > ROUNDING_TOL:
+    if (rounding := EPS * float(p.gamma) * t_max) > RK4_ROUNDING_TOL:
         raise ValueError(f"gt = {t_max:g} is past RK4's rounding bound: "
-                         f"eps gamma gt = {rounding:.3g} > {ROUNDING_TOL:g}")
+                         f"eps gamma gt = {rounding:.3g} > {RK4_ROUNDING_TOL:g}")
     vec = initial_state(p).reshape(16)
     states = np.empty((len(gts), 16), dtype=complex)
     propagators = {}
@@ -212,7 +217,7 @@ def evolve_rk4_grid(p: SystemParams, gts) -> np.ndarray:
     which keeps stiff dephasing inside RK4's stability region and is
     0.005/Omega without dephasing. The steps are one propagator raised to
     the step count, so the cost grows with the logarithm of that count.
-    ValueError past RK4's rounding bound, eps gamma gt_max = 1e-8.
+    ValueError past RK4's rounding bound, eps gamma gt_max = 4e-11.
     """
     return _rk4_grid(p, gts, None)
 

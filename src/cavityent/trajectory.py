@@ -70,7 +70,7 @@ class Trajectory:
                              f"got {self.plane.shape} and {self.bell_max.shape}")
         if len(self.plane) == 0:
             raise ValueError("a trajectory needs at least one time")
-        check_times(self.gt_max)
+        object.__setattr__(self, "gt_max", float(check_times(evolution._single_time(self.gt_max))))
 
     def __len__(self) -> int:
         return len(self.plane)
@@ -247,7 +247,7 @@ def sweep(
 ) -> Trajectory:
     """Uniform time-grid sweep of all trajectory metrics; ValueError past
     the phase-precision bound eps (Omega + |Delta|) gt_max <= 1e-8, and for
-    rk4 past its rounding bound eps gamma gt_max <= 1e-8."""
+    rk4 past its rounding bound eps gamma gt_max <= 4e-11."""
     if check_times(gt_max) == 0:
         raise ValueError("gt_max must be positive")
     if n_steps < 2:

@@ -113,7 +113,7 @@ class TestEvolve:
         out = tmp_path / "t.csv"
         assert main([*argv, "--source", "rk4", "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: gt = 1 is past RK4's rounding bound: eps gamma gt = {shown} > 1e-08\n")
+            f"error: gt = 1 is past RK4's rounding bound: eps gamma gt = {shown} > 4e-11\n")
         assert not out.exists()
         # the closed form and the spectral source damp the coherences to 0 and are fine
         for source in ("analytic", "spectral"):

@@ -177,7 +177,7 @@ class TestRK4:
         # bound, before any propagator is formed
         p = params(delta=0.5, gamma=1e25)
         refusal = "^" + re.escape(
-            "gt = 1 is past RK4's rounding bound: eps gamma gt = 2.22e+09 > 1e-08") + "$"
+            "gt = 1 is past RK4's rounding bound: eps gamma gt = 2.22e+09 > 4e-11") + "$"
         for run in (lambda: evolution.evolve_rk4_grid(p, [1.0]),
                     lambda: evolution.evolve_rk4(p, 1.0),
                     lambda: trajectory.sweep(p, 1.0, 3, source=trajectory.RK4)):
@@ -185,20 +185,20 @@ class TestRK4:
                 run()
 
     def test_rounding_bound_is_eps_gamma_t_max(self):
-        # refused just past eps gamma t_max = 1e-8 and not at it, where the
-        # state is within 2e-8 of the spectral one; the bound reads the
+        # refused just past eps gamma t_max = 4e-11 and not at it, where the
+        # state is within 1e-10 of the spectral one; the bound reads the
         # largest time, whatever the grid's length
         p = params(delta=0.5, lambda_=0.7, gamma=1e4)
-        t_max = 1e-8 / (evolution.EPS * p.gamma)
+        t_max = evolution.RK4_ROUNDING_TOL / (evolution.EPS * p.gamma)
         gts = np.linspace(0.0, t_max, 5)
         got = evolution.evolve_rk4_grid(p, gts)
-        assert np.abs(got - evolution.evolve_spectral_grid(p, gts)).max() < 2e-8
+        assert np.abs(got - evolution.evolve_spectral_grid(p, gts)).max() < 1e-10
         for grid in ([np.nextafter(t_max, np.inf)], [0.0, 1.0, np.nextafter(t_max, np.inf)]):
             with pytest.raises(ValueError, match="past RK4's rounding bound"):
                 evolution.evolve_rk4_grid(p, grid)
         # a bound that overflows reads inf, without a numpy warning, also for a numpy gamma
         p = params(delta=0.5, gamma=np.float64(1e300))
-        with pytest.raises(ValueError, match=re.escape("eps gamma gt = inf > 1e-08")):
+        with pytest.raises(ValueError, match=re.escape("eps gamma gt = inf > 4e-11")):
             evolution.evolve_rk4_grid(p, [1e300])
 
     def test_large_detuning_finishes(self):

@@ -214,6 +214,16 @@ class TestSweep:
             trajectory.Trajectory(params(delta=0.5), gt_max, np.full((5, 2), 0.25),
                                   np.full(5, 2.0))
 
+    def test_trajectory_stores_gt_max_as_one_float(self):
+        # an int is stored as the float it stands for; an array of times is
+        # refused, since gt would be rebuilt from it as an (n, k) array
+        columns = np.full((5, 2), 0.25), np.full(5, 2.0)
+        traj = trajectory.Trajectory(params(delta=0.5), 4, *columns)
+        assert type(traj.gt_max) is float and traj.gt_max == 4.0
+        for gt_max in (np.array([1.0, 2.0]), np.array([4.0])):
+            with pytest.raises(ValueError, match=r"^expected a single time gt, got shape"):
+                trajectory.Trajectory(params(delta=0.5), gt_max, *columns)
+
     @pytest.mark.parametrize("n_steps", [2, 4097, 50001])
     def test_times_are_the_sweeps_grid(self, monkeypatch, n_steps):
         # gt is rebuilt from gt_max at each read, bit for bit the grid that
